@@ -7,12 +7,6 @@ from dataclasses import dataclass
 
 from .exactform import factorize, first_primes
 
-# Reference magnitudes quoted alongside the isoperimetric discussion; no
-# derivation is available for either, so they are stored as literals.
-SCALAR_CURVATURE_MIN = 3080.0
-KAPPA_EXTENSION = 3934.06
-
-
 @dataclass
 class IsoperimetricReport:
     alpha: float           # separable volume fraction

@@ -9,6 +9,9 @@ The determinant, not the minimal eigenvalue, is the bracketing function: it
 is smooth through every eigenvalue crossing, and the non-vanishing eigenvalue
 factors cancel between ||grad f|| and |df/dt|, leaving the same surface
 measure at simple zeros.
+
+A grid node where f is not finite is skipped, and it blocks the brackets on
+both sides of it: no root is sought across it.
 """
 
 from __future__ import annotations
@@ -47,22 +50,22 @@ class AreaRow:
     area: float
 
 
-def _det_eval(m: int, form, euler_order: str):
+def _det_eval(m: int):
     # default evaluation hook: (points) -> (det of PT, SD weight)
+    form = quantum.forms_for(m)[0]
+
     def ev(pts: np.ndarray):
-        dec = param.decode_batch(pts, m, euler_order=euler_order)
+        dec = param.decode_batch(pts, m)
         det = np.linalg.det(quantum.partial_transpose(dec.rho, form))
         return det.real, dec.w
     return ev
 
 
-def root_residual(base: np.ndarray, t: float, m: int, free_index: int,
-                  form=None, euler_order: str | None = None) -> float:
+def root_residual(base: np.ndarray, t: float, m: int, free_index: int) -> float:
     """Smallest |eigenvalue| of the partial transpose at a refined root."""
-    form = quantum.forms_for(m)[0] if form is None else form
     x = _insert(np.asarray(base, dtype=float)[None, :], np.array([t]), free_index)
-    dec = param.decode_batch(x, m, euler_order=euler_order or param.EULER_COORD_ORDER)
-    eig = np.linalg.eigvalsh(quantum.partial_transpose(dec.rho, form))
+    dec = param.decode_batch(x, m)
+    eig = np.linalg.eigvalsh(quantum.partial_transpose(dec.rho, quantum.forms_for(m)[0]))
     return float(np.abs(eig).min())
 
 
@@ -93,31 +96,36 @@ def _bisect(eval_fn, base: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return 0.5 * (lo + hi)
 
 
+def _scan_chunk(eval_fn, bases: np.ndarray, grid: int, free: int):
+    """Scan f on every base's line, bisect each bracket, then weight each root.
+
+    Returns (base index per root, [(t, area_weight)] per root, non-finite node count).
+    """
+    nb = bases.shape[0]
+    tg = np.linspace(0.0, 1.0, grid)
+    f, _ = eval_fn(_insert(np.repeat(bases, grid, axis=0), np.tile(tg, nb), free))
+    f = f.reshape(nb, grid)
+    finite = np.isfinite(f)
+    sgn = np.where(finite, np.sign(f), 0.0)
+    sgn[(sgn == 0.0) & finite] = 1.0  # node-coincident zero: bracket survives on one side
+    bi, gi = np.where(sgn[:, :-1] * sgn[:, 1:] < 0)
+    roots: list[tuple[float, float]] = []
+    if bi.size:
+        t_root = _bisect(eval_fn, bases[bi], tg[gi], tg[gi + 1], f[bi, gi], free)
+        roots = [(float(t), _root_weight(eval_fn, bases[b], float(t), free))
+                 for b, t in zip(bi, t_root)]
+    return bi, roots, int((~finite).sum())
+
+
 def scan_roots(base: np.ndarray, m: int, free_index: int = DEFAULT_FREE_INDEX,
-               grid: int = DEFAULT_GRID, form=None, euler_order: str | None = None,
-               eval_fn=None) -> BoundaryRecord:
+               grid: int = DEFAULT_GRID, eval_fn=None) -> BoundaryRecord:
     """Grid-scan f along the free coordinate of one base point and refine all roots."""
     if grid < 2:
         raise ValueError("grid must be >= 2")
     base = np.asarray(base, dtype=float)
     if eval_fn is None:
-        form = quantum.forms_for(m)[0] if form is None else form
-        eval_fn = _det_eval(m, form, euler_order or param.EULER_COORD_ORDER)
-    tg = np.linspace(0.0, 1.0, grid)
-    bb = np.broadcast_to(base, (grid, base.size))
-    f, w = eval_fn(_insert(bb, tg, free_index))
-    ok = np.isfinite(f)
-    skipped = int((~ok).sum())
-    tg, f = tg[ok], f[ok]
-    sgn = np.sign(f)
-    sgn[sgn == 0] = 1.0  # node-coincident zero: bracket survives on one side
-    idx = np.where(sgn[:-1] * sgn[1:] < 0)[0]
-    roots: list[tuple[float, float]] = []
-    if idx.size:
-        bcol = np.broadcast_to(base, (idx.size, base.size))
-        t_root = _bisect(eval_fn, bcol, tg[idx], tg[idx + 1], f[idx], free_index)
-        roots = [(float(t), _root_weight(eval_fn, base, float(t), free_index))
-                 for t in t_root]
+        eval_fn = _det_eval(m)
+    _, roots, skipped = _scan_chunk(eval_fn, base[None, :], grid, free_index)
     return BoundaryRecord(base, roots, bool(roots), skipped)
 
 
@@ -142,8 +150,7 @@ def _root_weight(eval_fn, base: np.ndarray, t: float, free: int) -> float:
 
 
 def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int = 0,
-                  form=None, free_index: int = DEFAULT_FREE_INDEX,
-                  skip: int = qmc.DEFAULT_SKIP, euler_order: str | None = None,
+                  free_index: int = DEFAULT_FREE_INDEX, skip: int = qmc.DEFAULT_SKIP,
                   eval_fn=None, chunk: int = 512, on_row=None) -> float:
     """Mean co-area contribution over scrambled-Halton base points.
 
@@ -157,39 +164,24 @@ def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int 
     if not 0 <= free < d:
         raise ValueError(f"free_index {free} outside [0, {d})")
     if eval_fn is None:
-        form = quantum.forms_for(m)[0] if form is None else form
-        eval_fn = _det_eval(m, form, euler_order or param.EULER_COORD_ORDER)
+        eval_fn = _det_eval(m)
     spec = qmc.ScrambleSpec(seed, skip)
-    tg = np.linspace(0.0, 1.0, grid)
     total = 0.0
     n_feasible = 0
     n_roots = 0
-    n_grazing = 0
     done = 0
     next_row = 100
     while done < base_points:
         nb = min(chunk, base_points - done)
-        bases = qmc.points(spec, d - 1, done, nb)
-        full = _insert(np.repeat(bases, grid, axis=0), np.tile(tg, nb), free)
-        f, _ = eval_fn(full)
-        f = f.reshape(nb, grid)
-        sgn = np.where(np.isfinite(f), np.sign(f), 0.0)
-        sgn[(sgn == 0.0) & np.isfinite(f)] = 1.0
-        bi, gi = np.where(sgn[:, :-1] * sgn[:, 1:] < 0)
+        bi, roots, _ = _scan_chunk(eval_fn, qmc.points(spec, d - 1, done, nb), grid, free)
         n_feasible += len(np.unique(bi))
-        if bi.size:
-            t_root = _bisect(eval_fn, bases[bi], tg[gi], tg[gi + 1], f[bi, gi], free)
-            for k in range(len(t_root)):
-                wgt = _root_weight(eval_fn, bases[bi[k]], float(t_root[k]), free)
-                if wgt == 0.0:
-                    n_grazing += 1
-                else:
-                    n_roots += 1
-                    total += wgt
+        n_roots += len(roots)
+        for _, wgt in roots:
+            total += wgt
         done += nb
         if done >= next_row or done == base_points:
             while next_row <= done:
                 next_row *= 10
             if on_row:
-                on_row(AreaRow(done, n_feasible, n_roots + n_grazing, total / done))
+                on_row(AreaRow(done, n_feasible, n_roots, total / done))
     return total / base_points

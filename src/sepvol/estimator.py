@@ -1,27 +1,28 @@
 """Streaming cumulative QMC estimation with checkpoints and deterministic parallel merge.
 
-The point stream is cut into fixed sub-blocks whose boundaries depend only on
-(points, checkpoint_every), never on the worker count.  Each sub-block is
-reduced with exact summation (math.fsum); sub-block partials are merged into
-the global accumulator in ascending block order through compensated adds.
-Workers own whole sub-blocks, so runs with 1, 2, or 8 workers produce
-bit-identical rows.
+The point stream is cut into fixed blocks whose boundaries depend only on
+(points, checkpoint_every), never on the worker count.  Each block is reduced
+with exact summation (math.fsum) to one vector of partial sums; the vectors
+are merged into the accumulator in ascending block order through an
+elementwise compensated add.  Workers take whole blocks in index order, so
+runs with 1, 2, or 8 workers produce bit-identical rows.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import multiprocessing as mp
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import param, qmc, quantum
 
 BLOCK = 4096
-CHECKPOINT_FORMAT = "sepvol-checkpoint-1"
+CHECKPOINT_FORMAT = "sepvol-checkpoint-2"
 DEFAULT_SEED = 21
 
 
@@ -49,8 +50,6 @@ class RunConfig:
     seed: int
     skip: int = qmc.DEFAULT_SKIP
     workers: int = 1
-    euler_order: str = param.EULER_COORD_ORDER
-    forms: tuple = ()
 
     def __post_init__(self):
         if self.m not in (4, 6, 8, 9):
@@ -59,53 +58,19 @@ class RunConfig:
             raise ValueError("need points >= checkpoint_every >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not self.forms:
-            self.forms = tuple(quantum.forms_for(self.m))
+
+    @property
+    def forms(self) -> tuple:
+        return tuple(quantum.forms_for(self.m))
 
     def canonical(self) -> str:
         # workers excluded: the merge order makes results worker-independent
         forms = ";".join(form_label(f) for f in self.forms)
         return (f"m={self.m} points={self.points} checkpoint_every={self.checkpoint_every} "
-                f"seed={self.seed} skip={self.skip} euler_order={self.euler_order} forms={forms}")
+                f"seed={self.seed} skip={self.skip} forms={forms}")
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
-
-
-class _CompSum:
-    """Neumaier compensated accumulator; (value, carry) survive checkpointing exactly."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self, s: float = 0.0, c: float = 0.0):
-        self.s = s
-        self.c = c
-
-    def add(self, x: float):
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s + self.c
-
-
-@dataclass
-class _BlockPartial:
-    start: int
-    n: int
-    degenerate: int
-    wD: float
-    wH: float
-    w: float
-    sep: tuple
-    cnt: tuple
-    neg: tuple
-    ln: tuple
 
 
 @dataclass
@@ -123,80 +88,43 @@ class CheckpointRow:
 
 
 class SampleAccumulator:
-    """Running sums for all reported columns; mergeable in fixed order."""
+    """Running sums for all reported columns, merged block by block in index order.
+
+    With F forms, the float vector is [w_D, w_H, w, w_sep[F], w*neg[F],
+    w*logneg[F]], held as Neumaier (sums, carry) pairs whose exact values
+    survive checkpointing; count_sep holds the separable hits per form.
+    """
 
     def __init__(self, n_forms: int):
         self.n_forms = n_forms
         self.n = 0
         self.degenerate = 0
-        self.sum_wD = _CompSum()
-        self.sum_wH = _CompSum()
-        self.sum_w = _CompSum()
-        self.sum_w_sep = [_CompSum() for _ in range(n_forms)]
-        self.count_sep = [0] * n_forms
-        self.sum_w_neg = [_CompSum() for _ in range(n_forms)]
-        self.sum_w_logneg = [_CompSum() for _ in range(n_forms)]
+        self.sums = np.zeros(3 + 3 * n_forms)
+        self.carry = np.zeros(3 + 3 * n_forms)
+        self.count_sep = np.zeros(n_forms, dtype=np.int64)
 
-    def accumulate(self, sample: param.WeightedSample, forms):
-        """Add one decoded sample (reference path; the runner uses block partials)."""
-        if len(forms) != self.n_forms:
-            raise ValueError("form count does not match accumulator")
-        self.n += 1
-        if sample.degenerate:
-            self.degenerate += 1
-            return
-        self.sum_wD.add(sample.w_D)
-        self.sum_wH.add(sample.w_H)
-        self.sum_w.add(sample.w)
-        for i, f in enumerate(forms):
-            neg = quantum.negativity(sample.rho, f)
-            if neg <= 0.0:
-                self.count_sep[i] += 1
-                self.sum_w_sep[i].add(sample.w)
-            else:
-                self.sum_w_neg[i].add(sample.w * neg)
-                self.sum_w_logneg[i].add(sample.w * math.log1p(2.0 * neg))
-
-    def merge_block(self, p: _BlockPartial):
-        self.n += p.n
-        self.degenerate += p.degenerate
-        self.sum_wD.add(p.wD)
-        self.sum_wH.add(p.wH)
-        self.sum_w.add(p.w)
-        for i in range(self.n_forms):
-            self.sum_w_sep[i].add(p.sep[i])
-            self.count_sep[i] += p.cnt[i]
-            self.sum_w_neg[i].add(p.neg[i])
-            self.sum_w_logneg[i].add(p.ln[i])
-
-    def merge_from(self, other: "SampleAccumulator"):
-        """Fold another accumulator's totals into this one."""
-        if other.n_forms != self.n_forms:
-            raise ValueError("form count does not match accumulator")
-        self.n += other.n
-        self.degenerate += other.degenerate
-        self.sum_wD.add(other.sum_wD.value)
-        self.sum_wH.add(other.sum_wH.value)
-        self.sum_w.add(other.sum_w.value)
-        for i in range(self.n_forms):
-            self.sum_w_sep[i].add(other.sum_w_sep[i].value)
-            self.count_sep[i] += other.count_sep[i]
-            self.sum_w_neg[i].add(other.sum_w_neg[i].value)
-            self.sum_w_logneg[i].add(other.sum_w_logneg[i].value)
+    def merge_block(self, n: int, degenerate: int, sums: np.ndarray, count_sep: np.ndarray):
+        """Fold one block's partial sums in; blocks must arrive in index order."""
+        self.n += n
+        self.degenerate += degenerate
+        s = self.sums
+        t = s + sums
+        self.carry += np.where(np.abs(s) >= np.abs(sums), (s - t) + sums, (sums - t) + s)
+        self.sums = t
+        self.count_sep += count_sep
 
     def checkpoint(self) -> CheckpointRow:
         if self.n < 1:
             raise EmptyAccumulatorError("no samples accumulated")
         n = float(self.n)
-        est_D = self.sum_wD.value / n
-        est_H = self.sum_wH.value / n
-        est_V = self.sum_w.value / n
-        sw = self.sum_w.value
-        est_V_sep = tuple(s.value / n for s in self.sum_w_sep)
-        est_P = tuple(v / est_V if est_V else 0.0 for v in est_V_sep)
         nf = self.n_forms
-        mean_neg = sum(s.value for s in self.sum_w_neg) / (nf * sw) if sw else 0.0
-        mean_ln = sum(s.value for s in self.sum_w_logneg) / (nf * sw) if sw else 0.0
+        v = (self.sums + self.carry).tolist()
+        sw = v[2]
+        est_D, est_H, est_V = v[0] / n, v[1] / n, sw / n
+        est_V_sep = tuple(x / n for x in v[3:3 + nf])
+        est_P = tuple(x / est_V if est_V else 0.0 for x in est_V_sep)
+        mean_neg = sum(v[3 + nf:3 + 2 * nf]) / (nf * sw) if sw else 0.0
+        mean_ln = sum(v[3 + 2 * nf:]) / (nf * sw) if sw else 0.0
         return CheckpointRow(self.n, est_D, est_H, est_D * est_H, est_V,
                              est_V_sep, est_P, mean_neg, mean_ln, self.degenerate)
 
@@ -214,31 +142,21 @@ def _block_ranges(points: int, checkpoint_every: int) -> list[tuple[int, int]]:
     return out
 
 
-def _compute_block(cfg: RunConfig, start: int, count: int) -> _BlockPartial:
+def _compute_block(task: tuple[RunConfig, int, int]) -> tuple:
+    """Exact partial sums of one block: (n, degenerate, sums vector, count_sep)."""
+    cfg, start, count = task
     spec = qmc.ScrambleSpec(cfg.seed, cfg.skip)
     pts = qmc.points(spec, cfg.m * cfg.m - 1, start, count)
-    dec = param.decode_batch(pts, cfg.m, euler_order=cfg.euler_order)
+    dec = param.decode_batch(pts, cfg.m)
     ok = ~dec.degenerate
     w = dec.w[ok]
-    sep, cnt, negs, lns = [], [], [], []
     rho = dec.rho[ok]
-    for f in cfg.forms:
-        ev = np.linalg.eigvalsh(quantum.partial_transpose(rho, f))
-        ppt = ev[:, 0] >= -quantum.PPT_EPS
-        neg = np.where(ev < -quantum.PPT_EPS, -ev, 0.0).sum(axis=1)
-        sep.append(math.fsum((w * ppt).tolist()))
-        cnt.append(int(ppt.sum()))
-        negs.append(math.fsum((w * neg).tolist()))
-        lns.append(math.fsum((w * np.log1p(2.0 * neg)).tolist()))
-    return _BlockPartial(
-        start, count, int(dec.degenerate.sum()),
-        math.fsum(dec.w_D[ok].tolist()), math.fsum(dec.w_H[ok].tolist()),
-        math.fsum(w.tolist()), tuple(sep), tuple(cnt), tuple(negs), tuple(lns))
-
-
-def _worker(args) -> list[_BlockPartial]:
-    cfg, blocks = args
-    return [_compute_block(cfg, s, c) for s, c in blocks]
+    negs = [quantum.negativity(rho, f) for f in cfg.forms]
+    ppts = [neg == 0.0 for neg in negs]
+    terms = ([dec.w_D[ok], dec.w_H[ok], w] + [w * ppt for ppt in ppts]
+             + [w * neg for neg in negs] + [w * np.log1p(2.0 * neg) for neg in negs])
+    sums = np.array([math.fsum(t.tolist()) for t in terms])
+    return count, int(dec.degenerate.sum()), sums, np.array([int(p.sum()) for p in ppts])
 
 
 def save_checkpoint(path: str, cfg: RunConfig, acc: SampleAccumulator):
@@ -248,15 +166,9 @@ def save_checkpoint(path: str, cfg: RunConfig, acc: SampleAccumulator):
              f"canonical {cfg.canonical()}",
              f"n {acc.n}",
              f"degenerate {acc.degenerate}",
-             f"n_forms {acc.n_forms}"]
-    for name in ("sum_wD", "sum_wH", "sum_w"):
-        cs = getattr(acc, name)
-        lines.append(f"{name} {cs.s.hex()} {cs.c.hex()}")
-    for i in range(acc.n_forms):
-        lines.append(f"form{i}_sum_w_sep {acc.sum_w_sep[i].s.hex()} {acc.sum_w_sep[i].c.hex()}")
-        lines.append(f"form{i}_count_sep {acc.count_sep[i]}")
-        lines.append(f"form{i}_sum_w_neg {acc.sum_w_neg[i].s.hex()} {acc.sum_w_neg[i].c.hex()}")
-        lines.append(f"form{i}_sum_w_logneg {acc.sum_w_logneg[i].s.hex()} {acc.sum_w_logneg[i].c.hex()}")
+             "sums " + " ".join(x.hex() for x in acc.sums.tolist()),
+             "carry " + " ".join(x.hex() for x in acc.carry.tolist()),
+             "count_sep " + " ".join(str(c) for c in acc.count_sep.tolist())]
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -264,33 +176,32 @@ def save_checkpoint(path: str, cfg: RunConfig, acc: SampleAccumulator):
 
 
 def load_checkpoint(path: str, cfg: RunConfig) -> SampleAccumulator:
-    fields = {}
+    """Accumulator saved by save_checkpoint; ConfigMismatchError if the file is foreign or damaged."""
     with open(path) as fh:
-        for line in fh:
-            key, _, rest = line.rstrip("\n").partition(" ")
-            fields[key] = rest
+        text = fh.read()
+    fields = dict(line.partition(" ")[::2] for line in text.splitlines())
     if fields.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigMismatchError(f"unrecognized checkpoint format in {path}")
-    if fields["config_hash"] != cfg.config_hash():
+        raise ConfigMismatchError(f"unrecognized checkpoint format in {path}: "
+                                  f"{fields.get('format')!r}, expected {CHECKPOINT_FORMAT!r}")
+    if fields.get("config_hash") != cfg.config_hash():
         raise ConfigMismatchError(
-            f"checkpoint config does not match: file has '{fields.get('canonical')}', "
+            f"checkpoint {path} config does not match: file has '{fields.get('canonical')}', "
             f"run wants '{cfg.canonical()}'")
-    acc = SampleAccumulator(int(fields["n_forms"]))
-    acc.n = int(fields["n"])
-    acc.degenerate = int(fields["degenerate"])
-
-    def _cs(key):
-        s, c = fields[key].split()
-        return _CompSum(float.fromhex(s), float.fromhex(c))
-
-    acc.sum_wD = _cs("sum_wD")
-    acc.sum_wH = _cs("sum_wH")
-    acc.sum_w = _cs("sum_w")
-    for i in range(acc.n_forms):
-        acc.sum_w_sep[i] = _cs(f"form{i}_sum_w_sep")
-        acc.count_sep[i] = int(fields[f"form{i}_count_sep"])
-        acc.sum_w_neg[i] = _cs(f"form{i}_sum_w_neg")
-        acc.sum_w_logneg[i] = _cs(f"form{i}_sum_w_logneg")
+    acc = SampleAccumulator(len(cfg.forms))
+    try:
+        if not text.endswith("\n"):
+            raise ValueError("last line is cut off")
+        acc.n = int(fields["n"])
+        acc.degenerate = int(fields["degenerate"])
+        sums = np.array([float.fromhex(x) for x in fields["sums"].split()])
+        carry = np.array([float.fromhex(x) for x in fields["carry"].split()])
+        count_sep = np.array([int(x) for x in fields["count_sep"].split()], dtype=np.int64)
+        if (sums.shape, carry.shape, count_sep.shape) != (
+                acc.sums.shape, acc.carry.shape, acc.count_sep.shape):
+            raise ValueError("vector lengths do not match the forms")
+    except (KeyError, ValueError) as err:
+        raise ConfigMismatchError(f"damaged checkpoint {path}: {err!r}") from err
+    acc.sums, acc.carry, acc.count_sep = sums, carry, count_sep
     return acc
 
 
@@ -298,7 +209,8 @@ def run(cfg: RunConfig, checkpoint_path: str | None = None, on_row=None):
     """Execute the configured run; returns (rows emitted by this call, final accumulator).
 
     With a checkpoint_path, state is persisted at every checkpoint row and an
-    existing compatible file resumes the run at its last row.
+    existing compatible file resumes the run at its last row.  Rows are
+    emitted as soon as the block that completes them is merged.
     """
     acc = SampleAccumulator(len(cfg.forms))
     all_blocks = _block_ranges(cfg.points, cfg.checkpoint_every)
@@ -306,29 +218,17 @@ def run(cfg: RunConfig, checkpoint_path: str | None = None, on_row=None):
         acc = load_checkpoint(checkpoint_path, cfg)
         if acc.n != cfg.points and acc.n not in {s for s, _ in all_blocks}:
             raise ConfigMismatchError("checkpoint does not sit on a block boundary")
-    blocks = [(s, c) for s, c in all_blocks if s >= acc.n]
+    tasks = [(cfg, s, c) for s, c in all_blocks if s >= acc.n]
     rows = []
-
-    def merge(p: _BlockPartial):
-        acc.merge_block(p)
-        if acc.n % cfg.checkpoint_every == 0 or acc.n == cfg.points:
+    nproc = min(cfg.workers, len(tasks))
+    with mp.get_context("fork").Pool(nproc) if nproc > 1 else contextlib.nullcontext() as pool:
+        for part in pool.imap(_compute_block, tasks) if nproc > 1 else map(_compute_block, tasks):
+            acc.merge_block(*part)
             if acc.n % cfg.checkpoint_every == 0:
                 row = acc.checkpoint()
                 rows.append(row)
                 if on_row:
                     on_row(row)
-            if checkpoint_path:
+            if checkpoint_path and (acc.n % cfg.checkpoint_every == 0 or acc.n == cfg.points):
                 save_checkpoint(checkpoint_path, cfg, acc)
-
-    if cfg.workers == 1 or len(blocks) <= 1:
-        for s, c in blocks:
-            merge(_compute_block(cfg, s, c))
-    else:
-        chunks = [(cfg, blocks[bs:bs + bn])
-                  for bs, bn in qmc.partition(len(blocks), cfg.workers) if bn]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(min(cfg.workers, len(chunks))) as pool:
-            for partials in pool.imap(_worker, chunks):
-                for p in partials:
-                    merge(p)
     return rows, acc

@@ -2,10 +2,10 @@
 
 Coordinate assignment (frozen convention): hypercube coordinates 0..m-2 map
 affinely onto the m-1 simplex angles; coordinates m-1..m^2-2 map onto the
-m(m-1) Euler angles in "rotation_first" order — the first m(m-1)/2 of them
-are the rotation angles, assigned to coupling pairs in decreasing coupling
-width j so the heaviest angle densities ride the lowest prime bases, then the
-phases in layout order.  Native ranges: simplex and rotation angles
+m(m-1) Euler angles.  The first m(m-1)/2 of them are the rotation angles,
+assigned to coupling pairs in decreasing coupling width j so the heaviest
+angle densities ride the lowest prime bases; the phases follow in layout
+order.  Native ranges: simplex and rotation angles
 [0, pi/2], phase angles [0, pi] for the first pair of a block and [0, 2*pi]
 otherwise.
 
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEGENERATE_EPS = 1e-14
-EULER_COORD_ORDER = "rotation_first"
 _TINY = 1e-300  # keeps log() finite at coordinate-box corners
 
 
@@ -51,24 +50,19 @@ def euler_box_volume(m: int) -> float:
     return np.pi ** (m - 1) * (2 * np.pi) ** wide * (np.pi / 2) ** P
 
 
-def split_euler_coords(m: int, eu: np.ndarray, order: str = EULER_COORD_ORDER):
+def split_euler_coords(m: int, eu: np.ndarray):
     """Map the m(m-1) Euler-slice unit coords to per-pair (phase, rotation) columns.
 
-    "interleaved": coord 2p is the phase of pair p, coord 2p+1 its rotation.
-    "rotation_first": the first P coords are rotations, assigned to pairs in
-    decreasing j (heaviest densities take the lowest prime bases), then phases
-    in layout order.
+    The first P coords are rotations, assigned to pairs in decreasing j
+    (heaviest densities take the lowest prime bases), then phases in layout
+    order.
     """
     P = m * (m - 1) // 2
     lay = euler_layout(m)
-    if order == "interleaved":
-        return eu[:, 0::2], eu[:, 1::2]
-    if order == "rotation_first":
-        b = np.empty((eu.shape[0], P))
-        for slot, p in enumerate(sorted(range(P), key=lambda p: -lay[p][1])):
-            b[:, p] = eu[:, slot]
-        return eu[:, P:], b
-    raise ValueError(f"unknown euler coordinate order {order!r}")
+    b = np.empty((eu.shape[0], P))
+    for slot, p in enumerate(sorted(range(P), key=lambda p: -lay[p][1])):
+        b[:, p] = eu[:, slot]
+    return eu[:, P:], b
 
 
 def _simplex_decode(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,17 +144,7 @@ class DecodedBatch:
     degenerate: np.ndarray  # (B,) bool
 
 
-@dataclass
-class WeightedSample:
-    rho: np.ndarray
-    lam: np.ndarray
-    w_D: float
-    w_H: float
-    w: float
-    degenerate: bool
-
-
-def decode_batch(pts: np.ndarray, m: int, euler_order: str = EULER_COORD_ORDER) -> DecodedBatch:
+def decode_batch(pts: np.ndarray, m: int) -> DecodedBatch:
     """Decode unit-cube points (B, m^2-1) into weighted density matrices."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != m * m - 1:
@@ -169,7 +153,7 @@ def decode_batch(pts: np.ndarray, m: int, euler_order: str = EULER_COORD_ORDER) 
     theta = pts[:, : m - 1] * (np.pi / 2)
     lam, logj = _simplex_decode(theta)
     log_wD = _eig_density_log(lam) + logj + (m - 1) * np.log(np.pi / 2)
-    au, bu = split_euler_coords(m, pts[:, m - 1:], euler_order)
+    au, bu = split_euler_coords(m, pts[:, m - 1:])
     a = au * euler_phase_ranges(m)[None, :]
     b = bu * (np.pi / 2)
     log_wH = _haar_log_density(b, lay) + np.log(euler_box_volume(m))
@@ -181,13 +165,6 @@ def decode_batch(pts: np.ndarray, m: int, euler_order: str = EULER_COORD_ORDER) 
         w_H = np.exp(log_wH)
     w_D[degenerate] = 0.0
     return DecodedBatch(rho, lam, w_D, w_H, w_D * w_H, degenerate)
-
-
-def decode(p: np.ndarray, m: int, euler_order: str = EULER_COORD_ORDER) -> WeightedSample:
-    """Single-point decode; see decode_batch."""
-    d = decode_batch(np.asarray(p, dtype=float)[None, :], m, euler_order)
-    return WeightedSample(d.rho[0], d.lam[0], float(d.w_D[0]), float(d.w_H[0]),
-                          float(d.w[0]), bool(d.degenerate[0]))
 
 
 def eigenvalues_from_angles(angles: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1,4 +1,4 @@
-"""Deterministic scrambled Halton sequences with reproducible parallel partitioning.
+"""Deterministic scrambled Halton sequences.
 
 Scrambling applies an independent random digit permutation per prime base,
 fixing digit 0 so trailing zeros cannot drift a coordinate toward 1.  The
@@ -75,16 +75,3 @@ def point(spec: ScrambleSpec, d: int, index: int) -> np.ndarray:
     """Single point of the sequence (see points)."""
     return points(spec, d, index, 1)[0]
 
-
-def partition(total: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous disjoint index ranges covering [0, total), remainder on leading chunks."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    base, rem = divmod(total, workers)
-    ranges = []
-    startat = 0
-    for i in range(workers):
-        n = base + (1 if i < rem else 0)
-        ranges.append((startat, n))
-        startat += n
-    return ranges

@@ -102,7 +102,3 @@ def test_primorial_limit_term():
     with pytest.raises(ValueError):
         analysis.primorial_limit_term(0)
 
-
-def test_reference_magnitudes():
-    assert analysis.SCALAR_CURVATURE_MIN == 3080.0
-    assert analysis.KAPPA_EXTENSION == pytest.approx(3934.06)

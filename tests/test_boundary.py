@@ -58,13 +58,19 @@ def test_scan_roots_infeasible_line():
 
 
 def test_scan_roots_counts_skipped_nodes():
-    def ev(pts):
+    def ev(pts, nan_at=lambda t: t > 0.9):
         f = pts[:, 3] - 0.5
-        f[pts[:, 3] > 0.9] = np.nan
+        f[nan_at(pts[:, 3])] = np.nan
         return f, np.ones(pts.shape[0])
     rec = boundary.scan_roots(np.full(14, 0.5), 4, free_index=3, eval_fn=ev, grid=32)
     assert rec.skipped_nodes == 4
     assert len(rec.roots) == 1
+    # a non-finite node blocks the brackets on both sides of it: the crossing
+    # at t = 0.5 lies between nodes 15/31 and 16/31, and node 16/31 is NaN
+    rec = boundary.scan_roots(np.full(14, 0.5), 4, free_index=3, grid=32,
+                              eval_fn=lambda pts: ev(pts, lambda t: abs(t - 16 / 31) < 0.01))
+    assert rec.skipped_nodes == 1
+    assert rec.roots == [] and not rec.feasible
 
 
 def test_grazing_crossing_gets_zero_weight():

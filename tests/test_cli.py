@@ -106,6 +106,39 @@ def test_estimate_checkpoint_mismatch_exits_2(tmp_path):
     assert cli.main(base[:3] + ["--seed", "5"] + base[3:]) == 2
 
 
+def test_estimate_damaged_checkpoint_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "est.csv")
+    ck = str(tmp_path / "state.ck")
+    base = ["estimate", "--m", "4", "--points", "2000", "--out", out,
+            "--checkpoint-file", ck]
+    assert cli.main(base) == 0
+    with open(ck) as fh:
+        text = fh.read()
+    sums = next(l for l in text.splitlines() if l.startswith("sums "))
+    damaged = [text[:120],   # cut inside the canonical line
+               text[:-3],    # cut inside the last line
+               text.replace(sums, sums.rsplit(" ", 1)[0])]  # one sum missing
+    for bad in damaged:
+        with open(ck, "w") as fh:
+            fh.write(bad)
+        assert cli.main(base) == 2
+        assert ck in capsys.readouterr().err
+
+
+def test_estimate_format_1_checkpoint_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "est.csv")
+    ck = str(tmp_path / "state.ck")
+    base = ["estimate", "--m", "4", "--points", "2000", "--out", out,
+            "--checkpoint-file", ck]
+    assert cli.main(base) == 0
+    with open(ck) as fh:
+        text = fh.read()
+    with open(ck, "w") as fh:
+        fh.write(text.replace("sepvol-checkpoint-2", "sepvol-checkpoint-1"))
+    assert cli.main(base) == 2
+    assert "unrecognized checkpoint format" in capsys.readouterr().err
+
+
 def test_estimate_worker_env(tmp_path, monkeypatch):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert cli.main(["estimate", "--m", "4", "--points", "8192", "--out", a]) == 0

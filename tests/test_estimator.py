@@ -1,5 +1,7 @@
 """Streaming accumulator, deterministic parallel runs, checkpoint/resume."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,62 +49,75 @@ def test_block_ranges():
     assert flat == list(range(10000))
 
 
-def _decoded_samples(m, n, seed=21):
-    pts = qmc.points(qmc.ScrambleSpec(seed), m * m - 1, 0, n)
-    return [param.decode(p, m) for p in pts]
+def _reference_sums(m, n, seed=21):
+    """Per-sample oracle: column sums over decode_batch rows, one sample at a time.
+
+    Each sample's negativity comes from quantum.negativity on its own matrix,
+    and each column is summed exactly with math.fsum.
+    """
+    dec = param.decode_batch(qmc.points(qmc.ScrambleSpec(seed), m * m - 1, 0, n), m)
+    forms = quantum.forms_for(m)
+    cols = {k: [] for k in ("wD", "wH", "w")}
+    sep = [[] for _ in forms]
+    neg = [[] for _ in forms]
+    logneg = [[] for _ in forms]
+    count_sep = [0] * len(forms)
+    for i in range(n):
+        if dec.degenerate[i]:
+            continue
+        w = float(dec.w[i])
+        cols["wD"].append(float(dec.w_D[i]))
+        cols["wH"].append(float(dec.w_H[i]))
+        cols["w"].append(w)
+        for k, f in enumerate(forms):
+            ng = quantum.negativity(dec.rho[i], f)
+            if ng <= 0.0:
+                count_sep[k] += 1
+                sep[k].append(w)
+            else:
+                neg[k].append(w * ng)
+                logneg[k].append(w * math.log1p(2.0 * ng))
+    fs = math.fsum
+    return ({k: fs(v) for k, v in cols.items()}, [fs(v) for v in sep],
+            [fs(v) for v in neg], [fs(v) for v in logneg], count_sep,
+            int(dec.degenerate.sum()))
 
 
 def test_accumulate_matches_block_path():
-    """Per-sample accumulation agrees with the vectorized block runner."""
-    cfg = estimator.RunConfig(4, 4096, 4096, seed=21)
-    rows, _ = estimator.run(cfg)
-    acc = estimator.SampleAccumulator(1)
-    for s in _decoded_samples(4, 4096):
-        acc.accumulate(s, cfg.forms)
-    row = acc.checkpoint()
-    assert row.n == rows[0].n
-    assert row.degenerate == rows[0].degenerate
-    assert row.est_V == pytest.approx(rows[0].est_V, rel=1e-12)
-    assert row.est_V_sep[0] == pytest.approx(rows[0].est_V_sep[0], rel=1e-12)
-    assert row.mean_neg == pytest.approx(rows[0].mean_neg, rel=1e-12)
-
-
-def test_merge_from_equals_single_accumulator():
-    samples = _decoded_samples(4, 60)
-    forms = (2,)
-    whole = estimator.SampleAccumulator(1)
-    for s in samples:
-        whole.accumulate(s, forms)
-    a, b = estimator.SampleAccumulator(1), estimator.SampleAccumulator(1)
-    for s in samples[:30]:
-        a.accumulate(s, forms)
-    for s in samples[30:]:
-        b.accumulate(s, forms)
-    a.merge_from(b)
-    ra, rw = a.checkpoint(), whole.checkpoint()
-    assert (ra.n, ra.degenerate) == (rw.n, rw.degenerate)
-    assert ra.est_V == pytest.approx(rw.est_V, rel=1e-13)
-    assert ra.est_V_sep[0] == pytest.approx(rw.est_V_sep[0], rel=1e-13)
-    with pytest.raises(ValueError):
-        a.merge_from(estimator.SampleAccumulator(2))
+    """The per-sample oracle agrees with the vectorized block runner."""
+    m, n = 6, 4096
+    rows, acc = estimator.run(estimator.RunConfig(m, n, n, seed=21))
+    cols, sep, neg, logneg, count_sep, degenerate = _reference_sums(m, n)
+    row = rows[0]
+    assert (row.n, row.degenerate) == (n, degenerate)
+    assert acc.count_sep.tolist() == count_sep
+    assert row.est_D == pytest.approx(cols["wD"] / n, rel=1e-12)
+    assert row.est_H == pytest.approx(cols["wH"] / n, rel=1e-12)
+    assert row.est_V == pytest.approx(cols["w"] / n, rel=1e-12)
+    for k in range(len(sep)):
+        assert row.est_V_sep[k] == pytest.approx(sep[k] / n, rel=1e-12)
+    assert row.mean_neg == pytest.approx(sum(neg) / (len(neg) * cols["w"]), rel=1e-12)
+    assert row.mean_logneg == pytest.approx(sum(logneg) / (len(logneg) * cols["w"]), rel=1e-12)
 
 
 def test_accumulate_ppt_sample_counts_separable():
-    s = next(x for x in _decoded_samples(4, 200)
-             if not x.degenerate and quantum.is_ppt(x.rho, 2))
+    cfg = estimator.RunConfig(4, 200, 200, seed=21)
+    dec = param.decode_batch(qmc.points(qmc.ScrambleSpec(21), 15, 0, 200), 4)
+    i = next(i for i in range(200)
+             if not dec.degenerate[i] and quantum.is_ppt(dec.rho[i], 2))
     acc = estimator.SampleAccumulator(1)
-    acc.accumulate(s, (2,))
+    acc.merge_block(*estimator._compute_block((cfg, i, 1)))
     assert acc.count_sep[0] == 1
-    assert acc.sum_w_neg[0].value == 0.0
-    assert acc.checkpoint().est_V == s.w  # single-sample mean is the weight
+    assert acc.sums[4] == 0.0  # the w*neg column of the only form
+    assert acc.checkpoint().est_V == dec.w[i]  # single-sample mean is the weight
 
 
-def test_accumulate_degenerate_tallies_only():
+def test_accumulate_degenerate_tallies_only(monkeypatch):
     p = np.full(15, 0.5)
-    p[0] = 1.0
-    s = param.decode(p, 4)
+    p[0] = 1.0  # first simplex angle at pi/2: smallest eigenvalue collapses
+    monkeypatch.setattr(qmc, "points", lambda spec, d, start, count: p[None, :])
     acc = estimator.SampleAccumulator(1)
-    acc.accumulate(s, (2,))
+    acc.merge_block(*estimator._compute_block((estimator.RunConfig(4, 1, 1, seed=0), 0, 1)))
     assert (acc.n, acc.degenerate) == (1, 1)
     row = acc.checkpoint()
     assert row.est_V == 0.0
@@ -134,12 +149,14 @@ def test_checkpoint_cadence():
 
 
 def test_worker_count_bit_identity():
-    rows = {}
+    """Every streamed row and the final state match across worker counts."""
+    runs = {}
     for workers in (1, 2, 8):
-        cfg = estimator.RunConfig(4, 16384, 16384, seed=21, workers=workers)
-        r, _ = estimator.run(cfg)
-        rows[workers] = r[0]
-    assert rows[1] == rows[2] == rows[8]
+        cfg = estimator.RunConfig(4, 4 * 4096 + 1000, 3000, seed=21, workers=workers)
+        rows, acc = estimator.run(cfg)
+        runs[workers] = (rows, acc.checkpoint())
+    assert len(runs[1][0]) == 5
+    assert runs[1] == runs[2] == runs[8]
 
 
 def test_checkpoint_save_load_roundtrip(tmp_path):
@@ -149,10 +166,11 @@ def test_checkpoint_save_load_roundtrip(tmp_path):
     estimator.save_checkpoint(path, cfg, acc)
     back = estimator.load_checkpoint(path, cfg)
     assert (back.n, back.degenerate) == (acc.n, acc.degenerate)
-    assert back.sum_w.s == acc.sum_w.s and back.sum_w.c == acc.sum_w.c
+    assert np.array_equal(back.sums, acc.sums) and np.array_equal(back.carry, acc.carry)
+    assert np.array_equal(back.count_sep, acc.count_sep)
     assert back.checkpoint() == acc.checkpoint()
     with open(path) as fh:
-        assert fh.readline() == "format sepvol-checkpoint-1\n"
+        assert fh.readline() == "format sepvol-checkpoint-2\n"
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
@@ -198,6 +216,26 @@ def test_resume_is_bit_identical_to_unbroken_run(tmp_path):
     assert acc.n == 12288
     again, _ = estimator.run(mk(), path)  # completed file: nothing to do
     assert again == []
+
+
+def test_resume_across_worker_counts_is_bit_identical(tmp_path):
+    """A run checkpointed at workers=2 and resumed at workers=1 gives the unbroken rows."""
+    mk = lambda workers: estimator.RunConfig(4, 4 * 4096 + 1000, 3000, seed=9,
+                                             workers=workers)
+    all_rows, whole = estimator.run(mk(1))
+    path = str(tmp_path / "state.ck")
+    delivered = []
+
+    def interrupter(row):
+        if delivered:
+            raise _Interrupt()
+        delivered.append(row)
+
+    with pytest.raises(_Interrupt):
+        estimator.run(mk(2), path, on_row=interrupter)
+    rest, acc = estimator.run(mk(1), path)
+    assert delivered + rest == all_rows
+    assert acc.checkpoint() == whole.checkpoint()
 
 
 def test_estimates_stabilize():

@@ -30,22 +30,16 @@ def test_box_volumes():
 
 def test_split_euler_coords_is_a_permutation():
     eu = np.arange(30, dtype=float)[None, :]
-    for order in ("interleaved", "rotation_first"):
-        a, b = param.split_euler_coords(6, eu, order)
-        assert a.shape == b.shape == (1, 15)
-        assert sorted(np.concatenate([a[0], b[0]]).tolist()) == list(range(30))
-    a, b = param.split_euler_coords(6, eu, "interleaved")
-    assert np.array_equal(a[0], eu[0, 0::2])
-    a, b = param.split_euler_coords(6, eu, "rotation_first")
+    a, b = param.split_euler_coords(6, eu)
+    assert a.shape == b.shape == (1, 15)
+    assert sorted(np.concatenate([a[0], b[0]]).tolist()) == list(range(30))
     assert np.array_equal(a[0], eu[0, 15:])
-    with pytest.raises(ValueError):
-        param.split_euler_coords(6, eu, "zigzag")
 
 
 def test_rotation_first_orders_by_coupling_width():
     """Lowest-index coords feed the widest couplings (heaviest densities)."""
     eu = np.arange(30, dtype=float)[None, :]
-    _, b = param.split_euler_coords(6, eu, "rotation_first")
+    _, b = param.split_euler_coords(6, eu)
     widths = [j for _, j in param.euler_layout(6)]
     coord_of_width = {}
     for p, j in enumerate(widths):
@@ -161,21 +155,12 @@ def test_decode_preserves_spectrum():
     assert np.abs(ev - np.sort(dec.lam, axis=1)).max() < 1e-10
 
 
-def test_decode_single_matches_batch():
-    pts = _sample_points(6, 3)
-    dec = param.decode_batch(pts, 6)
-    s = param.decode(pts[1], 6)
-    assert np.array_equal(s.rho, dec.rho[1])
-    assert s.w == dec.w[1]
-    assert s.degenerate == bool(dec.degenerate[1])
-
-
 def test_decode_flags_degenerate_corner():
     p = np.full(15, 0.5)
     p[0] = 1.0  # first simplex angle at pi/2: smallest eigenvalue collapses
-    s = param.decode(p, 4)
-    assert s.degenerate
-    assert s.w == 0.0
+    dec = param.decode_batch(p[None, :], 4)
+    assert dec.degenerate[0]
+    assert dec.w[0] == 0.0
 
 
 def test_decode_batch_rejects_wrong_width():

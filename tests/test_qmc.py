@@ -1,4 +1,4 @@
-"""Scrambled Halton sequence: radical inverses, scrambling, partitioning."""
+"""Scrambled Halton sequence: radical inverses, scrambling, skip."""
 
 import numpy as np
 import pytest
@@ -84,21 +84,6 @@ def test_scrambled_marginals_uniform():
         x = np.sort(pts[:, j])
         sup = max(np.abs(x - grid).max(), np.abs(x - grid + 1 / n).max())
         assert sup < 0.02
-
-
-def test_partition_examples():
-    assert qmc.partition(7, 3) == [(0, 3), (3, 2), (5, 2)]
-    assert qmc.partition(10, 4) == [(0, 3), (3, 3), (6, 2), (8, 2)]
-    assert qmc.partition(5, 1) == [(0, 5)]
-
-
-def test_partition_covers_range():
-    for total, workers in [(100, 7), (3, 8), (4096, 2)]:
-        ranges = qmc.partition(total, workers)
-        covered = [i for s, n in ranges for i in range(s, s + n)]
-        assert covered == list(range(total))
-    with pytest.raises(ValueError):
-        qmc.partition(10, 0)
 
 
 def test_negative_skip_rejected():
