@@ -31,6 +31,7 @@ EPS_DT = 1e-3
 GRAD_STEP = 1e-5
 DEFAULT_GRID = 64
 DEFAULT_FREE_INDEX = 0
+CHUNK = 512         # base points scanned per batch of eval_fn calls
 _BISECT_MAX = 50
 
 
@@ -59,14 +60,6 @@ def _det_eval(m: int):
         det = np.linalg.det(quantum.partial_transpose(dec.rho, form))
         return det.real, dec.w
     return ev
-
-
-def root_residual(base: np.ndarray, t: float, m: int, free_index: int) -> float:
-    """Smallest |eigenvalue| of the partial transpose at a refined root."""
-    x = _insert(np.asarray(base, dtype=float)[None, :], np.array([t]), free_index)
-    dec = param.decode_batch(x, m)
-    eig = np.linalg.eigvalsh(quantum.partial_transpose(dec.rho, quantum.forms_for(m)[0]))
-    return float(np.abs(eig).min())
 
 
 def _insert(base: np.ndarray, t: np.ndarray, free: int) -> np.ndarray:
@@ -101,6 +94,8 @@ def _scan_chunk(eval_fn, bases: np.ndarray, grid: int, free: int):
 
     Returns (base index per root, [(t, area_weight)] per root, non-finite node count).
     """
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     nb = bases.shape[0]
     tg = np.linspace(0.0, 1.0, grid)
     f, _ = eval_fn(_insert(np.repeat(bases, grid, axis=0), np.tile(tg, nb), free))
@@ -120,8 +115,6 @@ def _scan_chunk(eval_fn, bases: np.ndarray, grid: int, free: int):
 def scan_roots(base: np.ndarray, m: int, free_index: int = DEFAULT_FREE_INDEX,
                grid: int = DEFAULT_GRID, eval_fn=None) -> BoundaryRecord:
     """Grid-scan f along the free coordinate of one base point and refine all roots."""
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
     base = np.asarray(base, dtype=float)
     if eval_fn is None:
         eval_fn = _det_eval(m)
@@ -151,11 +144,12 @@ def _root_weight(eval_fn, base: np.ndarray, t: float, free: int) -> float:
 
 def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int = 0,
                   free_index: int = DEFAULT_FREE_INDEX, skip: int = qmc.DEFAULT_SKIP,
-                  eval_fn=None, chunk: int = 512, on_row=None) -> float:
+                  eval_fn=None, on_row=None) -> float:
     """Mean co-area contribution over scrambled-Halton base points.
 
-    Emits cumulative AreaRow checkpoints at powers of ten (and at the end)
-    through on_row.  Returns the final area estimate.
+    Bases are scanned CHUNK at a time.  Emits a cumulative AreaRow through
+    on_row at the first chunk end past each power of ten (and at the end).
+    Returns the final area estimate.
     """
     if base_points < 1:
         raise ValueError("base_points must be >= 1")
@@ -172,7 +166,7 @@ def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int 
     done = 0
     next_row = 100
     while done < base_points:
-        nb = min(chunk, base_points - done)
+        nb = min(CHUNK, base_points - done)
         bi, roots, _ = _scan_chunk(eval_fn, qmc.points(spec, d - 1, done, nb), grid, free)
         n_feasible += len(np.unique(bi))
         n_roots += len(roots)

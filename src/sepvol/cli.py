@@ -10,34 +10,12 @@ import sys
 
 import numpy as np
 
-from . import analysis, boundary, estimator, exactform, param, qmc, quantum
+from . import analysis, boundary, estimator, exactform, qmc
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-
-def _plain_form(v: exactform.ExactValue) -> str:
-    """Numerator-over-plain-integer rendering, e.g. 'pi^8 / 1680'."""
-    num_parts = []
-    if v.numerator != 1:
-        num_parts.append(str(v.numerator))
-    if v.pi_power > 0:
-        num_parts.append("pi" if v.pi_power == 1 else f"pi^{v.pi_power}")
-    den_parts = []
-    den = v.denominator()
-    if den != 1:
-        den_parts.append(str(den))
-    if v.pi_power < 0:
-        den_parts.append("pi" if v.pi_power == -1 else f"pi^{-v.pi_power}")
-    num = " * ".join(num_parts) or "1"
-    if not den_parts:
-        return ("-" if v.sign < 0 else "") + num
-    dstr = " * ".join(den_parts)
-    if len(den_parts) > 1:
-        dstr = f"({dstr})"
-    return ("-" if v.sign < 0 else "") + f"{num} / {dstr}"
 
 
 def _constants_table(m: int):
@@ -54,7 +32,7 @@ def _constants_table(m: int):
 
 def cmd_constants(args) -> int:
     rows = _constants_table(args.m)
-    out = [(name, _plain_form(v), v.factored_form(), f"{v.to_real():.9g}")
+    out = [(name, v.plain_form(), v.factored_form(), f"{v.to_real():.9g}")
            for name, v in rows]
     if args.format == "json":
         for name, plain, factored, dec in out:
@@ -135,7 +113,7 @@ def cmd_estimate(args) -> int:
     cfg = estimator.RunConfig(
         m=args.m,
         points=args.points,
-        checkpoint_every=args.checkpoint_every or args.points,
+        checkpoint_every=args.points if args.checkpoint_every is None else args.checkpoint_every,
         seed=args.seed,
         skip=args.skip,
         workers=_workers(args),
@@ -157,10 +135,9 @@ def cmd_boundary(args) -> int:
     writer = _RowWriter(args.out, args.format,
                         ["bases", "feasible", "roots", "area"], append=False)
     try:
-        free = boundary.DEFAULT_FREE_INDEX if args.free_index is None else args.free_index
         boundary.estimate_area(
             args.m, args.points, grid=args.grid, seed=args.seed,
-            free_index=free, skip=args.skip,
+            free_index=args.free_index, skip=args.skip,
             on_row=lambda r: writer.write([r.bases, r.feasible, r.roots, r.area]))
     finally:
         writer.close()
@@ -264,7 +241,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--points", type=int, required=True, help="number of base points")
     p.add_argument("--grid", type=int, default=boundary.DEFAULT_GRID)
-    p.add_argument("--free-index", type=int, default=None)
+    p.add_argument("--free-index", type=int, default=boundary.DEFAULT_FREE_INDEX)
     p.add_argument("--seed", type=int, default=estimator.DEFAULT_SEED)
     p.add_argument("--skip", type=int, default=qmc.DEFAULT_SKIP)
     p.add_argument("--out", default="-")
@@ -299,8 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"sepvol: {err}", file=sys.stderr)
         return EXIT_IO
-    except (np.linalg.LinAlgError, param.BoundarySingularityError,
-            FloatingPointError) as err:
+    except (np.linalg.LinAlgError, FloatingPointError) as err:
         print(f"sepvol: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

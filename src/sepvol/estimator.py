@@ -56,6 +56,8 @@ class RunConfig:
             raise ValueError(f"unsupported dimension m={self.m}")
         if not self.points >= self.checkpoint_every >= 1:
             raise ValueError("need points >= checkpoint_every >= 1")
+        if self.skip < 0:
+            raise ValueError("skip must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

@@ -1,7 +1,8 @@
-"""Exact constants of the form sign * numerator * pi^k / (product of prime powers).
+"""Exact constants of the form (rational) * pi^k.
 
-All closed-form volumes and probabilities are kept in exact factored form and
-converted to floating point only on demand.
+All closed-form volumes and probabilities are kept as an exact Fraction times
+an integer power of pi; the denominator is factored only for display, and the
+value is converted to floating point only on demand.
 """
 
 from __future__ import annotations
@@ -53,92 +54,44 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _factorial_factors(n: int) -> dict[int, int]:
-    # Legendre's formula: exponent of p in n! is sum_k floor(n/p^k)
-    out = {}
-    for p in first_primes(n):  # generous upper bound on count; filtered below
-        if p > n:
-            break
-        e, q = 0, p
-        while q <= n:
-            e += n // q
-            q *= p
-        out[p] = e
-    return out
-
-
 @dataclass(frozen=True)
 class ExactValue:
-    """sign * numerator * pi^pi_power / prod(p^e for p, e in denominator_factors)."""
+    """coefficient * pi^pi_power, with an exact rational coefficient."""
 
-    sign: int
-    numerator: int
-    denominator_factors: dict[int, int]
+    coefficient: Fraction
     pi_power: int
 
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-        if self.numerator < 1:
-            raise ValueError("numerator must be a positive integer")
-
-    def denominator(self) -> int:
-        return math.prod(p**e for p, e in self.denominator_factors.items())
-
     def to_real(self) -> float:
-        return self.sign * float(Fraction(self.numerator, self.denominator())) * math.pi**self.pi_power
+        return float(self.coefficient) * math.pi**self.pi_power
 
     def __mul__(self, other: "ExactValue") -> "ExactValue":
-        den = dict(self.denominator_factors)
-        for p, e in other.denominator_factors.items():
-            den[p] = den.get(p, 0) + e
-        return _reduced(self.sign * other.sign, self.numerator * other.numerator,
-                        den, self.pi_power + other.pi_power)
+        return ExactValue(self.coefficient * other.coefficient, self.pi_power + other.pi_power)
 
     def __truediv__(self, other: "ExactValue") -> "ExactValue":
-        inv_num = other.denominator()
-        inv_den = factorize(other.numerator)
-        den = dict(self.denominator_factors)
-        for p, e in inv_den.items():
-            den[p] = den.get(p, 0) + e
-        return _reduced(self.sign * other.sign, self.numerator * inv_num,
-                        den, self.pi_power - other.pi_power)
+        return ExactValue(self.coefficient / other.coefficient, self.pi_power - other.pi_power)
+
+    def plain_form(self) -> str:
+        """Exact form over a plain-integer denominator, e.g. 'pi^8 / 1680'."""
+        den = self.coefficient.denominator
+        return self._form([str(den)] if den != 1 else [])
 
     def factored_form(self) -> str:
-        """Human-readable exact form, e.g. 'pi^15 / (2^18 * 3^3 * 5)'."""
-        num_parts = []
-        if self.numerator != 1 or (self.pi_power <= 0 and not self.denominator_factors):
-            num_parts.append(str(self.numerator))
-        if self.pi_power > 0:
-            num_parts.append("pi" if self.pi_power == 1 else f"pi^{self.pi_power}")
-        den_parts = [f"{p}^{e}" if e > 1 else str(p)
-                     for p, e in sorted(self.denominator_factors.items())]
-        if self.pi_power < 0:
-            k = -self.pi_power
-            den_parts.append("pi" if k == 1 else f"pi^{k}")
-        s = " * ".join(num_parts) if num_parts else "1"
+        """Exact form over a prime-factored denominator, e.g. 'pi^15 / (2^18 * 3^3 * 5)'."""
+        return self._form([f"{p}^{e}" if e > 1 else str(p)
+                           for p, e in sorted(factorize(self.coefficient.denominator).items())])
+
+    def _form(self, den_parts: list[str]) -> str:
+        num, k = abs(self.coefficient.numerator), self.pi_power
+        num_parts = [str(num)] if num != 1 else []
+        if k > 0:
+            num_parts.append("pi" if k == 1 else f"pi^{k}")
+        if k < 0:
+            den_parts.append("pi" if k == -1 else f"pi^{-k}")
+        s = " * ".join(num_parts) or "1"
         if den_parts:
             d = " * ".join(den_parts)
             s = f"{s} / ({d})" if len(den_parts) > 1 else f"{s} / {d}"
-        return ("-" if self.sign < 0 else "") + s
-
-
-def _reduced(sign: int, numerator: int, den: dict[int, int], pi_power: int) -> ExactValue:
-    # divide out any denominator prime that still divides the numerator
-    out = {}
-    for p, e in den.items():
-        while e > 0 and numerator % p == 0:
-            numerator //= p
-            e -= 1
-        if e > 0:
-            out[p] = e
-    return ExactValue(sign, numerator, out, pi_power)
-
-
-def _from_factor_exponents(net: dict[int, int], pi_power: int) -> ExactValue:
-    num = math.prod(p**e for p, e in net.items() if e > 0)
-    den = {p: -e for p, e in net.items() if e < 0}
-    return ExactValue(1, num, den, pi_power)
+        return ("-" if self.coefficient < 0 else "") + s
 
 
 def conjectured_separable_volume(m: int) -> ExactValue:
@@ -146,43 +99,30 @@ def conjectured_separable_volume(m: int) -> ExactValue:
     if m < 2:
         raise UnsupportedDimensionError(f"m={m}: need m >= 2")
     k = m * (m - 1) // 2
-    den = {p: 1 for p in first_primes(k - 1)}
-    return ExactValue(1, 1, den, k)
+    return ExactValue(Fraction(1, primorial(k - 1)), k)
 
 
 def diagonal_volume(n: int) -> ExactValue:
-    """pi^(n/2) * prod_{i=1}^{n+1} Gamma(i) / Gamma(n^2 / 2), exactly factored.
+    """pi^(n/2) * prod_{i=1}^{n+1} Gamma(i) / Gamma(n^2 / 2), exactly.
 
     For odd n the half-integer Gamma is expanded via
     Gamma(K + 1/2) = (2K)! sqrt(pi) / (4^K K!) so the result stays rational * pi^int.
     """
     if n < 2:
         raise UnsupportedDimensionError(f"n={n}: need n >= 2")
-    net: dict[int, int] = {}
-    for i in range(1, n + 2):
-        for p, e in _factorial_factors(i - 1).items():
-            net[p] = net.get(p, 0) + e
+    c = Fraction(math.prod(math.factorial(i) for i in range(n + 1)))
     if n % 2 == 0:
-        pi_power = n // 2
-        gamma_den = _factorial_factors(n * n // 2 - 1)
-    else:
-        # Gamma(K+1/2) with K=(n^2-1)/2; its sqrt(pi) cancels half of pi^(n/2)
-        K = (n * n - 1) // 2
-        pi_power = (n - 1) // 2
-        net[2] = net.get(2, 0) + 2 * K  # the 4^K
-        for p, e in _factorial_factors(K).items():
-            net[p] = net.get(p, 0) + e
-        gamma_den = _factorial_factors(2 * K)
-    for p, e in gamma_den.items():
-        net[p] = net.get(p, 0) - e
-    return _from_factor_exponents(net, pi_power)
+        return ExactValue(c / math.factorial(n * n // 2 - 1), n // 2)
+    # Gamma(K+1/2) with K=(n^2-1)/2; its sqrt(pi) cancels half of pi^(n/2)
+    K = (n * n - 1) // 2
+    return ExactValue(c * 4**K * math.factorial(K) / math.factorial(2 * K), (n - 1) // 2)
 
 
-_HAAR = {
-    4: (6, {2: 5, 3: 1}),
-    6: (15, {2: 18, 3: 3, 5: 1}),
-    8: (28, {2: 37, 3: 7, 5: 3, 7: 1}),
-    9: (36, {2: 51, 3: 9, 5: 4, 7: 2}),
+_HAAR = {  # m: (pi power, denominator)
+    4: (6, 2**5 * 3),
+    6: (15, 2**18 * 3**3 * 5),
+    8: (28, 2**37 * 3**7 * 5**3 * 7),
+    9: (36, 2**51 * 3**9 * 5**4 * 7**2),
 }
 
 
@@ -191,7 +131,7 @@ def truncated_haar_volume(m: int) -> ExactValue:
     if m not in _HAAR:
         raise UnsupportedDimensionError(f"m={m}: truncated Haar volume known for {sorted(_HAAR)}")
     k, den = _HAAR[m]
-    return ExactValue(1, 1, dict(den), k)
+    return ExactValue(Fraction(1, den), k)
 
 
 def total_volume(m: int) -> ExactValue:
@@ -210,4 +150,4 @@ def total_boundary_area(m: int) -> ExactValue:
     """Closed-form total boundary area; known exactly only for m=4."""
     if m != 4:
         raise UnsupportedDimensionError(f"m={m}: exact boundary area known for m=4 only")
-    return ExactValue(1, 2 * 71, {3: 3, 5: 1, 7: 1, 13: 1}, 7)
+    return ExactValue(Fraction(2 * 71, 3**3 * 5 * 7 * 13), 7)

@@ -26,10 +26,6 @@ DEGENERATE_EPS = 1e-14
 _TINY = 1e-300  # keeps log() finite at coordinate-box corners
 
 
-class BoundarySingularityError(ValueError):
-    """Eigenvalue at the simplex boundary: the density diverges there."""
-
-
 def euler_layout(m: int) -> list[tuple[int, int]]:
     """Coupling pairs (k, j): blocks k = m..2 descending, j = 2..k within a block."""
     return [(k, j) for k in range(m, 1, -1) for j in range(2, k + 1)]
@@ -38,10 +34,6 @@ def euler_layout(m: int) -> list[tuple[int, int]]:
 def euler_phase_ranges(m: int) -> np.ndarray:
     """Native phase range per pair: pi when j == 2, else 2*pi."""
     return np.array([np.pi if j == 2 else 2 * np.pi for _, j in euler_layout(m)])
-
-
-def simplex_box_volume(m: int) -> float:
-    return (np.pi / 2) ** (m - 1)
 
 
 def euler_box_volume(m: int) -> float:
@@ -165,37 +157,3 @@ def decode_batch(pts: np.ndarray, m: int) -> DecodedBatch:
         w_H = np.exp(log_wH)
     w_D[degenerate] = 0.0
     return DecodedBatch(rho, lam, w_D, w_H, w_D * w_H, degenerate)
-
-
-def eigenvalues_from_angles(angles: np.ndarray) -> tuple[np.ndarray, float]:
-    """Eigenvalues and (linear) Jacobian of the squared-cosine simplex map."""
-    angles = np.asarray(angles, dtype=float)
-    if angles.min() < 0 or angles.max() > np.pi / 2:
-        raise ValueError("simplex angles must lie in [0, pi/2]")
-    lam, logj = _simplex_decode(angles[None, :])
-    return lam[0], float(np.exp(logj[0]))
-
-
-def simplex_density(lam: np.ndarray) -> float:
-    """Eigenvalue-repulsion density; diverges at the simplex boundary."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.min() < DEGENERATE_EPS:
-        raise BoundarySingularityError("eigenvalue at the simplex boundary")
-    return float(np.exp(_eig_density_log(lam[None, :])[0]))
-
-
-def unitary_from_angles(angles: np.ndarray) -> tuple[np.ndarray, float]:
-    """Special unitary and its Haar density from interleaved native (phase, rotation) angles."""
-    angles = np.asarray(angles, dtype=float)
-    P = angles.size // 2
-    m = int(round((1 + np.sqrt(1 + 8 * P)) / 2))
-    if m * (m - 1) != angles.size:
-        raise ValueError(f"angle count {angles.size} is not m(m-1) for integer m")
-    a, b = angles[None, 0::2], angles[None, 1::2]
-    ranges = euler_phase_ranges(m)
-    if (a < 0).any() or (a > ranges).any() or (b < 0).any() or (b > np.pi / 2).any():
-        raise ValueError("euler angle outside its native range")
-    lay = euler_layout(m)
-    U = _unitary_batch(a, b, m, lay)[0]
-    density = float(np.exp(_haar_log_density(b, lay)[0]))
-    return U, density

@@ -28,30 +28,17 @@ def permutation_for(seed: int, base: int) -> np.ndarray:
 class ScrambleSpec:
     """Scrambling parameters plus lazily cached per-base digit permutations."""
 
-    def __init__(self, seed: int, skip: int = DEFAULT_SKIP, identity: bool = False):
+    def __init__(self, seed: int, skip: int = DEFAULT_SKIP):
         if skip < 0:
             raise ValueError("skip must be nonnegative")
         self.seed = int(seed)
         self.skip = int(skip)
-        self.identity = identity
         self._perms: dict[int, np.ndarray] = {}
 
     def permutation(self, base: int) -> np.ndarray:
         if base not in self._perms:
-            self._perms[base] = (np.arange(base, dtype=np.int64) if self.identity
-                                 else permutation_for(self.seed, base))
+            self._perms[base] = permutation_for(self.seed, base)
         return self._perms[base]
-
-
-def radical_inverse(index: int, base: int, perm: np.ndarray | None = None) -> float:
-    """Sum of permuted base-b digits of index over b^(j+1); van der Corput when perm is None."""
-    x, scale, n = 0.0, 1.0 / base, index
-    while n > 0:
-        d = n % base
-        x += (perm[d] if perm is not None else d) * scale
-        n //= base
-        scale /= base
-    return x
 
 
 def points(spec: ScrambleSpec, d: int, start: int, count: int) -> np.ndarray:
@@ -69,9 +56,3 @@ def points(spec: ScrambleSpec, d: int, start: int, count: int) -> np.ndarray:
             scale /= base
         out[:, j] = x
     return out
-
-
-def point(spec: ScrambleSpec, d: int, index: int) -> np.ndarray:
-    """Single point of the sequence (see points)."""
-    return points(spec, d, index, 1)[0]
-

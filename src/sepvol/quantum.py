@@ -1,8 +1,9 @@
-"""Partial transposes, PPT separability tests, negativity and log-negativity.
+"""Partial transposes and negativity; a state is PPT when its negativity is 0.
 
 All operations accept a single matrix (m, m) or a batch (..., m, m).  The two
 m = 6 forms are the in-place transposes of the 3x3 tiles (block=3) and of the
-2x2 tiles (block=2); general factor splits cover the m = 8, 9 bipartitions.
+2x2 tiles (block=2); a block form b is the transpose of factor 1 of the split
+(m/b, b).  General factor splits cover the m = 8, 9 bipartitions.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 PPT_EPS = 1e-12
-HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -26,17 +26,6 @@ class FactorSplit:
     def __post_init__(self):
         if not self.transposed or not self.transposed < set(range(len(self.dims))):
             raise ValueError("transposed set must be a nonempty proper subset of the factors")
-
-
-def block_partial_transpose(rho: np.ndarray, block: int) -> np.ndarray:
-    """Transpose each block x block tile of rho in place."""
-    m = rho.shape[-1]
-    if m % block:
-        raise ValueError(f"block size {block} does not divide m={m}")
-    nb = m // block
-    lead = rho.shape[:-2]
-    tiles = rho.reshape(lead + (nb, block, nb, block))
-    return np.swapaxes(tiles, -3, -1).reshape(lead + (m, m))
 
 
 def factor_partial_transpose(rho: np.ndarray, dims, transposed) -> np.ndarray:
@@ -56,10 +45,11 @@ def factor_partial_transpose(rho: np.ndarray, dims, transposed) -> np.ndarray:
 
 
 def partial_transpose(rho: np.ndarray, form) -> np.ndarray:
-    """Apply a PT form: an int block size or a FactorSplit."""
+    """Apply a PT form: an int block size b (factor 1 of (m/b, b)) or a FactorSplit."""
     if isinstance(form, FactorSplit):
         return factor_partial_transpose(rho, form.dims, form.transposed)
-    return block_partial_transpose(rho, int(form))
+    b = int(form)
+    return factor_partial_transpose(rho, (rho.shape[-1] // b, b), (1,))
 
 
 def forms_for(m: int) -> list:
@@ -75,29 +65,8 @@ def forms_for(m: int) -> list:
     raise ValueError(f"no partial-transpose forms defined for m={m}")
 
 
-def min_eigenvalue(M: np.ndarray) -> float | np.ndarray:
-    """Smallest eigenvalue of a Hermitian matrix (batch-aware)."""
-    if np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max() > HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    ev = np.linalg.eigvalsh(M)[..., 0]
-    return float(ev) if ev.ndim == 0 else ev
-
-
-def is_ppt(rho: np.ndarray, form) -> bool | np.ndarray:
-    """True when the partial transpose has no eigenvalue below -PPT_EPS."""
-    me = min_eigenvalue(partial_transpose(rho, form))
-    out = me >= -PPT_EPS
-    return bool(out) if np.ndim(out) == 0 else out
-
-
 def negativity(rho: np.ndarray, form) -> float | np.ndarray:
     """Absolute sum of the negative partial-transpose eigenvalues."""
     ev = np.linalg.eigvalsh(partial_transpose(rho, form))
     neg = np.where(ev < -PPT_EPS, -ev, 0.0).sum(axis=-1)
     return float(neg) if neg.ndim == 0 else neg
-
-
-def log_negativity(rho: np.ndarray, form) -> float | np.ndarray:
-    """ln(2 * negativity + 1)."""
-    out = np.log1p(2.0 * negativity(rho, form))
-    return float(out) if np.ndim(out) == 0 else out

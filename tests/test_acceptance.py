@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import is_ppt
 
 from sepvol import analysis, boundary, estimator, exactform, param, qmc, quantum
 
@@ -259,7 +260,7 @@ def test_criterion_6_property_suites():
 
     rho = dec.rho[~dec.degenerate]
     ppt_neg_ok = all(
-        np.array_equal(quantum.is_ppt(rho, f), quantum.negativity(rho, f) == 0.0)
+        np.array_equal(is_ppt(rho, f), quantum.negativity(rho, f) == 0.0)
         for f in quantum.forms_for(6))
     _check(bad, "criterion 6 PPT iff zero negativity", ppt_neg_ok, "1e4 samples")
 
@@ -273,14 +274,14 @@ def test_criterion_6_property_suites():
     jac_ok = True
     for _ in range(10):
         theta = rng.uniform(0.15, np.pi / 2 - 0.15, size=5)
-        _, jac = param.eigenvalues_from_angles(theta)
+        jac = np.exp(param._simplex_decode(theta[None, :])[1][0])
         J = np.empty((5, 5))
         for j in range(5):
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
             tm[j] -= h
-            J[:, j] = (param.eigenvalues_from_angles(tp)[0][:5] -
-                       param.eigenvalues_from_angles(tm)[0][:5]) / (2 * h)
+            J[:, j] = (param._simplex_decode(tp[None, :])[0][0, :5] -
+                       param._simplex_decode(tm[None, :])[0][0, :5]) / (2 * h)
         jac_ok &= abs(abs(np.linalg.det(J)) / jac - 1) < 1e-5
     _check(bad, "criterion 6 jacobian", jac_ok, "finite differences at 1e-5 relative")
 

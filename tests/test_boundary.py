@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import root_residual
 
 from sepvol import boundary
 
@@ -85,7 +86,7 @@ def test_grazing_crossing_gets_zero_weight():
 
 
 def test_scan_roots_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid"):
         boundary.scan_roots(np.full(14, 0.5), 4, eval_fn=lambda p: p, grid=1)
 
 
@@ -99,7 +100,7 @@ def test_real_roots_have_small_residual():
         rec = boundary.scan_roots(base, 6, grid=32)
         for t, _ in rec.roots:
             found += 1
-            assert boundary.root_residual(base, t, 6, 0) <= boundary.EPS_ROOT
+            assert root_residual(base, t, 6, 0) <= boundary.EPS_ROOT
         ts = [t for t, _ in rec.roots]
         assert ts == sorted(ts)
     assert found > 0
@@ -110,6 +111,9 @@ def test_estimate_area_validation():
         boundary.estimate_area(6, 0)
     with pytest.raises(ValueError):
         boundary.estimate_area(6, 10, free_index=35)
+    for grid in (0, 1):
+        with pytest.raises(ValueError, match="grid"):
+            boundary.estimate_area(4, 10, grid=grid, eval_fn=lambda p: p)
 
 
 def test_estimate_area_synthetic_surface():
@@ -131,6 +135,7 @@ def test_estimate_area_row_cadence():
     def ev(pts):
         return pts[:, 3] - 0.5, np.ones(pts.shape[0])
     rows = []
-    boundary.estimate_area(4, 230, eval_fn=ev, free_index=3, chunk=50,
-                           on_row=rows.append)
-    assert [r.bases for r in rows] == [100, 230]
+    boundary.estimate_area(4, 1200, eval_fn=ev, free_index=3, on_row=rows.append)
+    # chunks of 512: the first chunk end past 100, the first past 1000, the end
+    assert boundary.CHUNK == 512
+    assert [r.bases for r in rows] == [512, 1024, 1200]

@@ -8,6 +8,47 @@ import pytest
 from sepvol import cli, estimator
 
 
+# `sepvol constants` output, byte for byte; the CSV rows end in \r\n
+CONSTANTS_M6_TEXT = """\
+H_6                 = pi^15 / 35389440 = pi^15 / (2^18 * 3^3 * 5) = 0.809793712
+D_6                 = pi^3 / 14294280 = pi^3 / (2^3 * 3 * 5 * 7^2 * 11 * 13 * 17) = 2.16913875e-06
+V_6_total           = pi^18 / 505866564403200 = pi^18 / (2^21 * 3^4 * 5^2 * 7^2 * 11 * 13 * 17) = 1.75655492e-06
+V_6_sep_conjectured = pi^15 / 13082761331670030 = pi^15 / (2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43) = 2.19052731e-09
+P_6_conjectured     = 990904320 / (25626846353 * pi^3) = 990904320 / (19 * 23 * 29 * 31 * 37 * 41 * 43 * pi^3) = 0.00124705882
+"""
+
+CONSTANTS_M8_TEXT = """\
+H_8                 = pi^28 / 263006617337856000 = pi^28 / (2^37 * 3^7 * 5^3 * 7) = 0.000316395108
+D_8                 = pi^4 / 1626164510023053000 = pi^4 / (2^3 * 3^5 * 5^3 * 7^2 * 11^2 * 13^2 * 17 * 19 * 23 * 29 * 31) = 5.99011296e-17
+V_8_total           = pi^32 / 427692027016035198240049594368000000 = pi^32 / (2^40 * 3^12 * 5^6 * 7^3 * 11^2 * 13^2 * 17 * 19 * 23 * 29 * 31) = 1.89524244e-20
+V_8_sep_conjectured = pi^28 / 23984823528925228172706521638692258396210 = pi^28 / (2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61 * 67 * 71 * 73 * 79 * 83 * 89 * 97 * 101 * 103) = 3.46944421e-27
+"""
+
+CONSTANTS_M9_TEXT = """\
+H_9                 = pi^36 / 1357366631815981301760000 = pi^36 / (2^51 * 3^9 * 5^4 * 7^2) = 5.81698908e-07
+D_9                 = 1180591620717411303424 * pi^4 / 46683388828018458123811535524310654110415465625 = 1180591620717411303424 * pi^4 / (3^5 * 5^5 * 7^4 * 11^4 * 13^3 * 17^2 * 19^2 * 23^2 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61 * 67 * 71 * 73 * 79) = 2.46341064e-24
+V_9_total           = 524288 * pi^40 / 28140367482995298907061337645328327273693795553091796875 = 524288 * pi^40 / (3^14 * 5^9 * 7^6 * 11^4 * 13^3 * 17^2 * 19^2 * 23^2 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61 * 67 * 71 * 73 * 79) = 1.43296328e-30
+V_9_sep_conjectured = pi^36 / 1492182350939279320058875736615841068547583863326864530410 = pi^36 / (2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61 * 67 * 71 * 73 * 79 * 83 * 89 * 97 * 101 * 103 * 107 * 109 * 113 * 127 * 131 * 137 * 139 * 149) = 5.29143564e-40
+"""
+
+CONSTANTS_M4_CSV = """\
+name,plain,factored,value
+H_4,pi^6 / 96,pi^6 / (2^5 * 3),10.0144708
+D_4,2 * pi^2 / 35,2 * pi^2 / (5 * 7),0.563977394
+V_4_total,pi^8 / 1680,pi^8 / (2^4 * 3 * 5 * 7),5.64793513
+V_4_sep_conjectured,pi^6 / 2310,pi^6 / (2 * 3 * 5 * 7 * 11),0.416185798
+P_4_conjectured,8 / (11 * pi^2),8 / (11 * pi^2),0.0736881336
+"""
+
+CONSTANTS_M9_CSV = """\
+name,plain,factored,value
+H_9,pi^36 / 1357366631815981301760000,pi^36 / (2^51 * 3^9 * 5^4 * 7^2),5.81698908e-07
+D_9,1180591620717411303424 * pi^4 / 46683388828018458123811535524310654110415465625,1180591620717411303424 * pi^4 / (3^5 * 5^5 * 7^4 * 11^4 * 13^3 * 17^2 * 19^2 * 23^2 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61 * 67 * 71 * 73 * 79),2.46341064e-24
+V_9_total,524288 * pi^40 / 28140367482995298907061337645328327273693795553091796875,524288 * pi^40 / (3^14 * 5^9 * 7^6 * 11^4 * 13^3 * 17^2 * 19^2 * 23^2 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61 * 67 * 71 * 73 * 79),1.43296328e-30
+V_9_sep_conjectured,pi^36 / 1492182350939279320058875736615841068547583863326864530410,pi^36 / (2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59 * 61 * 67 * 71 * 73 * 79 * 83 * 89 * 97 * 101 * 103 * 107 * 109 * 113 * 127 * 131 * 137 * 139 * 149),5.29143564e-40
+"""
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -35,6 +76,19 @@ def test_constants_json(capsys):
     by_name = {r["name"]: r for r in rows}
     assert by_name["V_6_sep_conjectured"]["value"] == pytest.approx(2.190527309e-9)
     assert by_name["H_6"]["factored"] == "pi^15 / (2^18 * 3^3 * 5)"
+
+
+@pytest.mark.parametrize("m, golden", [(6, CONSTANTS_M6_TEXT), (8, CONSTANTS_M8_TEXT),
+                                       (9, CONSTANTS_M9_TEXT)])
+def test_constants_text_golden(capsys, m, golden):
+    assert cli.main(["constants", "--m", str(m)]) == 0
+    assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("m, golden", [(4, CONSTANTS_M4_CSV), (9, CONSTANTS_M9_CSV)])
+def test_constants_csv_golden(capsys, m, golden):
+    assert cli.main(["constants", "--m", str(m), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == golden.replace("\n", "\r\n")
 
 
 def test_constants_unsupported_m(capsys):
@@ -153,6 +207,20 @@ def test_estimate_bad_config_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_estimate_checkpoint_every_0_exits_2(capsys):
+    rc = cli.main(["estimate", "--m", "4", "--points", "5000", "--checkpoint-every", "0"])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_estimate_negative_skip_leaves_out_untouched(tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text("n,est_D\n1000,0.5\n")
+    assert cli.main(["estimate", "--m", "4", "--points", "1000", "--skip", "-1",
+                     "--out", str(out)]) == 2
+    assert out.read_text() == "n,est_D\n1000,0.5\n"
+
+
 def test_estimate_unwritable_out_exits_3():
     rc = cli.main(["estimate", "--m", "4", "--points", "10",
                    "--out", "/nonexistent-dir/x.csv"])
@@ -174,6 +242,12 @@ def test_boundary_csv(tmp_path):
 
 def test_boundary_zero_points_exits_2(tmp_path):
     assert cli.main(["boundary", "--m", "6", "--points", "0",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_boundary_grid_below_2_exits_2(tmp_path, grid):
+    assert cli.main(["boundary", "--m", "4", "--points", "50", "--grid", grid,
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import is_ppt
 
 from sepvol import estimator, param, qmc, quantum
 
@@ -17,6 +18,8 @@ def test_run_config_validation():
         estimator.RunConfig(4, 100, 0, seed=0)
     with pytest.raises(ValueError):
         estimator.RunConfig(4, 100, 10, seed=0, workers=0)
+    with pytest.raises(ValueError):
+        estimator.RunConfig(4, 100, 10, seed=0, skip=-1)
 
 
 def test_run_config_default_forms():
@@ -104,7 +107,7 @@ def test_accumulate_ppt_sample_counts_separable():
     cfg = estimator.RunConfig(4, 200, 200, seed=21)
     dec = param.decode_batch(qmc.points(qmc.ScrambleSpec(21), 15, 0, 200), 4)
     i = next(i for i in range(200)
-             if not dec.degenerate[i] and quantum.is_ppt(dec.rho[i], 2))
+             if not dec.degenerate[i] and is_ppt(dec.rho[i], 2))
     acc = estimator.SampleAccumulator(1)
     acc.merge_block(*estimator._compute_block((cfg, i, 1)))
     assert acc.count_sep[0] == 1

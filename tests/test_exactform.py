@@ -1,6 +1,7 @@
 """Exact factored constants: primes, primorials, closed-form volumes."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -32,22 +33,24 @@ def test_factorize_roundtrip():
 
 
 def test_exact_value_to_real():
-    v = xf.ExactValue(1, 8, {11: 1}, -2)  # 8 / (11 pi^2)
+    v = xf.ExactValue(Fraction(8, 11), -2)  # 8 / (11 pi^2)
     assert v.to_real() == pytest.approx(8 / (11 * math.pi**2), rel=1e-15)
-    assert v.denominator() == 11
+    assert v.plain_form() == v.factored_form() == "8 / (11 * pi^2)"
 
 
 def test_exact_value_mul_div_roundtrip():
-    a = xf.ExactValue(1, 15, {2: 3}, 4)
-    b = xf.ExactValue(-1, 7, {3: 1, 5: 2}, -1)
-    c = (a * b) / b
-    assert (c.sign, c.numerator, c.denominator_factors, c.pi_power) == \
-        (a.sign, a.numerator, a.denominator_factors, a.pi_power)
+    a = xf.ExactValue(Fraction(15, 8), 4)
+    b = xf.ExactValue(Fraction(-7, 75), -1)
+    assert a * b == xf.ExactValue(Fraction(-7, 40), 3)
+    assert (a * b) / b == a
+    assert (b / a).factored_form() == "-56 / (3^2 * 5^3 * pi^5)"
+    assert (b / a).plain_form() == "-56 / (1125 * pi^5)"
 
 
 def test_exact_value_reduces_common_factors():
-    v = xf.ExactValue(1, 6, {}, 0) / xf.ExactValue(1, 4, {}, 0)
-    assert (v.numerator, v.denominator_factors) == (3, {2: 1})
+    v = xf.ExactValue(Fraction(6), 0) / xf.ExactValue(Fraction(4), 0)
+    assert v.coefficient == Fraction(3, 2)
+    assert v.factored_form() == "3 / 2"
 
 
 def test_factored_form():
@@ -55,7 +58,9 @@ def test_factored_form():
     assert xf.conjectured_separable_volume(4).factored_form() == \
         "pi^6 / (2 * 3 * 5 * 7 * 11)"
     assert xf.conjectured_probability(4).factored_form() == "8 / (11 * pi^2)"
-    assert xf.ExactValue(1, 1, {}, 0).factored_form() == "1"
+    assert xf.ExactValue(Fraction(1), 0).factored_form() == "1"
+    assert xf.total_volume(4).factored_form() == "pi^8 / (2^4 * 3 * 5 * 7)"
+    assert xf.total_volume(4).plain_form() == "pi^8 / 1680"
 
 
 def test_conjectured_separable_volume_is_primorial_quotient():
@@ -63,9 +68,7 @@ def test_conjectured_separable_volume_is_primorial_quotient():
     for m in (4, 6):
         k = m * (m - 1) // 2
         v = xf.conjectured_separable_volume(m)
-        assert v.pi_power == k
-        assert v.denominator() == xf.primorial(k - 1)
-        assert v.numerator == 1
+        assert v == xf.ExactValue(Fraction(1, xf.primorial(k - 1)), k)
 
 
 def _diagonal_float(n):
