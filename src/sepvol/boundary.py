@@ -22,7 +22,6 @@ import numpy as np
 
 from . import param, qmc, quantum
 
-EPS_ROOT = 1e-10    # residual bound on the vanishing PT eigenvalue at a root
 EPS_T = 1e-13       # bisection interval width
 # Grazing cutoff: a crossing contributes weight ~ 1/cos(angle to the scan
 # axis), so near-tangent roots carry unbounded-variance terms while holding
@@ -33,14 +32,6 @@ DEFAULT_GRID = 64
 DEFAULT_FREE_INDEX = 0
 CHUNK = 512         # base points scanned per batch of eval_fn calls
 _BISECT_MAX = 50
-
-
-@dataclass
-class BoundaryRecord:
-    base: np.ndarray                  # (m^2-2,) unit coords, free coordinate excluded
-    roots: list[tuple[float, float]]  # (t, area_weight), strictly increasing in t
-    feasible: bool
-    skipped_nodes: int = 0            # grid nodes dropped for non-finite f
 
 
 @dataclass
@@ -75,8 +66,6 @@ def _insert(base: np.ndarray, t: np.ndarray, free: int) -> np.ndarray:
 def _bisect(eval_fn, base: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             f_lo: np.ndarray, free: int) -> np.ndarray:
     """Vectorized bisection to interval width <= EPS_T per row."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
     sign_lo = np.sign(f_lo)
     for _ in range(_BISECT_MAX):
         mid = 0.5 * (lo + hi)
@@ -94,8 +83,6 @@ def _scan_chunk(eval_fn, bases: np.ndarray, grid: int, free: int):
 
     Returns (base index per root, [(t, area_weight)] per root, non-finite node count).
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
     nb = bases.shape[0]
     tg = np.linspace(0.0, 1.0, grid)
     f, _ = eval_fn(_insert(np.repeat(bases, grid, axis=0), np.tile(tg, nb), free))
@@ -112,29 +99,16 @@ def _scan_chunk(eval_fn, bases: np.ndarray, grid: int, free: int):
     return bi, roots, int((~finite).sum())
 
 
-def scan_roots(base: np.ndarray, m: int, free_index: int = DEFAULT_FREE_INDEX,
-               grid: int = DEFAULT_GRID, eval_fn=None) -> BoundaryRecord:
-    """Grid-scan f along the free coordinate of one base point and refine all roots."""
-    base = np.asarray(base, dtype=float)
-    if eval_fn is None:
-        eval_fn = _det_eval(m)
-    _, roots, skipped = _scan_chunk(eval_fn, base[None, :], grid, free_index)
-    return BoundaryRecord(base, roots, bool(roots), skipped)
-
-
 def _root_weight(eval_fn, base: np.ndarray, t: float, free: int) -> float:
     """Co-area weight w * ||grad f|| / |df/dt| at one root; 0 flags a grazing crossing."""
     d = base.size + 1
     x = _insert(base[None, :], np.array([t]), free)[0]
+    j = np.arange(d)
     probes = np.repeat(x[None, :], 2 * d + 1, axis=0)
-    for j in range(d):
-        probes[2 * j, j] = min(x[j] + GRAD_STEP, 1.0 - 1e-12)
-        probes[2 * j + 1, j] = max(x[j] - GRAD_STEP, 0.0)
+    probes[2 * j, j] = np.minimum(x + GRAD_STEP, 1.0 - 1e-12)
+    probes[2 * j + 1, j] = np.maximum(x - GRAD_STEP, 0.0)
     f, w = eval_fn(probes)
-    grad = np.empty(d)
-    for j in range(d):
-        dx = probes[2 * j, j] - probes[2 * j + 1, j]
-        grad[j] = (f[2 * j] - f[2 * j + 1]) / dx
+    grad = (f[2 * j] - f[2 * j + 1]) / (probes[2 * j, j] - probes[2 * j + 1, j])
     dt = abs(grad[free])
     gn = float(np.linalg.norm(grad))
     if gn == 0.0 or dt < EPS_DT * gn:
@@ -149,10 +123,13 @@ def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int 
 
     Bases are scanned CHUNK at a time.  Emits a cumulative AreaRow through
     on_row at the first chunk end past each power of ten (and at the end).
-    Returns the final area estimate.
+    Returns the final area estimate.  A bad argument raises ValueError before
+    the first row.
     """
     if base_points < 1:
         raise ValueError("base_points must be >= 1")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     d = m * m - 1
     free = free_index
     if not 0 <= free < d:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -82,10 +83,9 @@ class _RowWriter:
 def _estimate_header(cfg: estimator.RunConfig, deviation: bool) -> list[str]:
     # for m > 6 the per-form columns report PPT (not separability) quantities
     kind = "sep" if cfg.m in (4, 6) else "ppt"
-    labels = [estimator.form_label(f) for f in cfg.forms]
     cols = ["n", "est_D", "est_H", "est_DH", "est_V"]
-    cols += [f"{kind}_vol_{lab}" for lab in labels]
-    cols += [f"{kind}_prob_{lab}" for lab in labels]
+    cols += [f"{kind}_vol_{f.label}" for f in cfg.forms]
+    cols += [f"{kind}_prob_{f.label}" for f in cfg.forms]
     cols += ["mean_neg", "mean_logneg", "degenerate"]
     if deviation:
         cols += ["dev_D", "dev_H", "dev_V"]
@@ -130,17 +130,23 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    if args.points < 1:
-        raise ValueError("need --points >= 1")
-    writer = _RowWriter(args.out, args.format,
-                        ["bases", "feasible", "roots", "area"], append=False)
+    # --out opens at the first row, after estimate_area has checked every argument
+    writer = None
+
+    def write(row: boundary.AreaRow):
+        nonlocal writer
+        if writer is None:
+            header = [f.name for f in dataclasses.fields(row)]
+            writer = _RowWriter(args.out, args.format, header, append=False)
+        writer.write(list(dataclasses.astuple(row)))
+
     try:
         boundary.estimate_area(
             args.m, args.points, grid=args.grid, seed=args.seed,
-            free_index=args.free_index, skip=args.skip,
-            on_row=lambda r: writer.write([r.bases, r.feasible, r.roots, r.area]))
+            free_index=args.free_index, skip=args.skip, on_row=write)
     finally:
-        writer.close()
+        if writer is not None:
+            writer.close()
     return EXIT_OK
 
 
@@ -165,14 +171,11 @@ def cmd_iso_check(args) -> int:
         v_total, v_sep = args.v_total, args.v_sep
     if args.a_sep is None:
         raise ValueError("need --a-sep (boundary-area estimate)")
-    rep = analysis.levy_gromov_check(args.d, v_total, v_sep, args.a_sep)
-    fields = [("alpha", rep.alpha), ("boundary_ratio", rep.boundary_ratio),
-              ("ball_volume", rep.ball_volume), ("s_alpha", rep.s_alpha),
-              ("w", rep.w), ("holds", rep.holds)]
+    rep = dataclasses.asdict(analysis.levy_gromov_check(args.d, v_total, v_sep, args.a_sep))
     if args.format == "json":
-        print(json.dumps(dict(fields)))
+        print(json.dumps(rep))
     else:
-        for name, val in fields:
+        for name, val in rep.items():
             print(f"{name} = {val}")
     return EXIT_OK
 
@@ -184,25 +187,21 @@ def _ntheory_int(text: str) -> int:
     return int(text)
 
 
+# ntheory op -> (function, number of arguments)
+_NTHEORY_OPS = {
+    "totient": (analysis.totient, 1),
+    "sigma": (analysis.divisor_power_sum, 2),
+    "labos": (analysis.labos_check, 2),
+    "limit-term": (analysis.primorial_limit_term, 1),
+}
+
+
 def cmd_ntheory(args) -> int:
     vals = [_ntheory_int(a) for a in args.args]
-
-    def want(n):
-        if len(vals) != n:
-            raise ValueError(f"{args.op} takes {n} argument(s), got {len(vals)}")
-
-    if args.op == "totient":
-        want(1)
-        result = analysis.totient(vals[0])
-    elif args.op == "sigma":
-        want(2)
-        result = analysis.divisor_power_sum(vals[0], vals[1])
-    elif args.op == "labos":
-        want(2)
-        result = analysis.labos_check(vals[0], vals[1])
-    else:  # limit-term
-        want(1)
-        result = analysis.primorial_limit_term(vals[0])
+    fn, arity = _NTHEORY_OPS[args.op]
+    if len(vals) != arity:
+        raise ValueError(f"{args.op} takes {arity} argument(s), got {len(vals)}")
+    result = fn(*vals)
     if args.format == "json":
         print(json.dumps({"op": args.op, "args": args.args, "value": result}))
     else:
@@ -258,7 +257,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_iso_check)
 
     p = sub.add_parser("ntheory", help="totient/divisor-sum observations")
-    p.add_argument("op", choices=("totient", "sigma", "labos", "limit-term"))
+    p.add_argument("op", choices=tuple(_NTHEORY_OPS))
     p.add_argument("args", nargs="+")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_ntheory)

@@ -34,14 +34,6 @@ class ConfigMismatchError(ValueError):
     """Resume file was written by a run with an incompatible configuration."""
 
 
-def form_label(form) -> str:
-    if isinstance(form, quantum.FactorSplit):
-        dims = "x".join(str(d) for d in form.dims)
-        t = ",".join(str(i) for i in sorted(form.transposed))
-        return f"factors{dims}t{t}"
-    return f"block{int(form)}"
-
-
 @dataclass
 class RunConfig:
     m: int
@@ -62,12 +54,12 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
 
     @property
-    def forms(self) -> tuple:
-        return tuple(quantum.forms_for(self.m))
+    def forms(self) -> tuple[quantum.FactorSplit, ...]:
+        return quantum.forms_for(self.m)
 
     def canonical(self) -> str:
         # workers excluded: the merge order makes results worker-independent
-        forms = ";".join(form_label(f) for f in self.forms)
+        forms = ";".join(f.label for f in self.forms)
         return (f"m={self.m} points={self.points} checkpoint_every={self.checkpoint_every} "
                 f"seed={self.seed} skip={self.skip} forms={forms}")
 

@@ -1,9 +1,8 @@
 """Partial transposes and negativity; a state is PPT when its negativity is 0.
 
-All operations accept a single matrix (m, m) or a batch (..., m, m).  The two
-m = 6 forms are the in-place transposes of the 3x3 tiles (block=3) and of the
-2x2 tiles (block=2); a block form b is the transpose of factor 1 of the split
-(m/b, b).  General factor splits cover the m = 8, 9 bipartitions.
+All operations accept a single matrix (m, m) or a batch (..., m, m).  A form
+is a FactorSplit: the tensor factors it transposes and the label of its output
+columns.  At m = 6, block3 transposes the qutrit (the 3x3 tiles) and block2 the qubit.
 """
 
 from __future__ import annotations
@@ -18,14 +17,20 @@ PPT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class FactorSplit:
-    """Tensor-factor dimensions and the subset of factors to transpose."""
+    """A partial-transpose form: factor dimensions, the factors transposed, and its label."""
 
+    label: str
     dims: tuple[int, ...]
     transposed: frozenset[int]
 
-    def __post_init__(self):
-        if not self.transposed or not self.transposed < set(range(len(self.dims))):
-            raise ValueError("transposed set must be a nonempty proper subset of the factors")
+
+_FORMS = {
+    4: (FactorSplit("block2", (2, 2), frozenset({1})),),
+    6: (FactorSplit("block3", (2, 3), frozenset({1})),
+        FactorSplit("block2", (3, 2), frozenset({1}))),
+    8: tuple(FactorSplit(f"factors2x2x2t{f}", (2, 2, 2), frozenset({f})) for f in range(3)),
+    9: (FactorSplit("factors3x3t1", (3, 3), frozenset({1})),),
+}
 
 
 def factor_partial_transpose(rho: np.ndarray, dims, transposed) -> np.ndarray:
@@ -44,28 +49,19 @@ def factor_partial_transpose(rho: np.ndarray, dims, transposed) -> np.ndarray:
     return R.reshape(lead + (m, m))
 
 
-def partial_transpose(rho: np.ndarray, form) -> np.ndarray:
-    """Apply a PT form: an int block size b (factor 1 of (m/b, b)) or a FactorSplit."""
-    if isinstance(form, FactorSplit):
-        return factor_partial_transpose(rho, form.dims, form.transposed)
-    b = int(form)
-    return factor_partial_transpose(rho, (rho.shape[-1] // b, b), (1,))
+def partial_transpose(rho: np.ndarray, form: FactorSplit) -> np.ndarray:
+    """Apply a partial-transpose form."""
+    return factor_partial_transpose(rho, form.dims, form.transposed)
 
 
-def forms_for(m: int) -> list:
+def forms_for(m: int) -> tuple[FactorSplit, ...]:
     """The partial-transpose forms reported for each supported dimension."""
-    if m == 4:
-        return [2]
-    if m == 6:
-        return [3, 2]
-    if m == 8:
-        return [FactorSplit((2, 2, 2), frozenset({f})) for f in range(3)]
-    if m == 9:
-        return [FactorSplit((3, 3), frozenset({1}))]
-    raise ValueError(f"no partial-transpose forms defined for m={m}")
+    if m not in _FORMS:
+        raise ValueError(f"no partial-transpose forms defined for m={m}")
+    return _FORMS[m]
 
 
-def negativity(rho: np.ndarray, form) -> float | np.ndarray:
+def negativity(rho: np.ndarray, form: FactorSplit) -> float | np.ndarray:
     """Absolute sum of the negative partial-transpose eigenvalues."""
     ev = np.linalg.eigvalsh(partial_transpose(rho, form))
     neg = np.where(ev < -PPT_EPS, -ev, 0.0).sum(axis=-1)

@@ -15,14 +15,18 @@ def _flat_eval(surface, weight=1.0, free=3):
     return ev
 
 
+def _scan(eval_fn, base, grid=boundary.DEFAULT_GRID, free=3):
+    """(roots, non-finite node count) on the line through one base point."""
+    _, roots, skipped = boundary._scan_chunk(eval_fn, np.asarray(base)[None, :], grid, free)
+    return roots, skipped
+
+
 def test_scan_roots_linear_surface():
     ev = _flat_eval(lambda p: 0.3 + 0.2 * p[:, 0])
-    base = np.full(14, 0.5)
-    rec = boundary.scan_roots(base, 4, free_index=3, eval_fn=ev)
-    assert rec.feasible
-    assert rec.skipped_nodes == 0
-    assert len(rec.roots) == 1
-    t, w = rec.roots[0]
+    roots, skipped = _scan(ev, np.full(14, 0.5))
+    assert skipped == 0
+    assert len(roots) == 1
+    t, w = roots[0]
     assert t == pytest.approx(0.4, abs=1e-11)
     # grad = (0.2 down the first coordinate, 1 along the scan axis)
     assert w == pytest.approx(np.sqrt(1.04), rel=1e-4)
@@ -31,11 +35,11 @@ def test_scan_roots_linear_surface():
 def test_scan_roots_multiple_crossings():
     def ev(pts):
         return np.cos(3 * np.pi * pts[:, 3]), np.ones(pts.shape[0])
-    rec = boundary.scan_roots(np.full(14, 0.5), 4, free_index=3, eval_fn=ev)
-    ts = [t for t, _ in rec.roots]
+    roots, _ = _scan(ev, np.full(14, 0.5))
+    ts = [t for t, _ in roots]
     assert ts == sorted(ts)
     assert np.allclose(ts, [1 / 6, 1 / 2, 5 / 6], atol=1e-10)
-    for _, w in rec.roots:
+    for _, w in roots:
         assert w == pytest.approx(1.0, rel=1e-6)
 
 
@@ -45,17 +49,15 @@ def test_scan_roots_mixture_family_crossing():
     def ev(pts):
         t = pts[:, 3]
         return ((1 + t) / 4) ** 3 * ((1 - 3 * t) / 4), np.ones(pts.shape[0])
-    rec = boundary.scan_roots(np.full(14, 0.25), 4, free_index=3, eval_fn=ev)
-    assert len(rec.roots) == 1
-    assert rec.roots[0][0] == pytest.approx(1 / 3, abs=1e-11)
+    roots, _ = _scan(ev, np.full(14, 0.25))
+    assert len(roots) == 1
+    assert roots[0][0] == pytest.approx(1 / 3, abs=1e-11)
 
 
 def test_scan_roots_infeasible_line():
     def ev(pts):
         return np.ones(pts.shape[0]), np.ones(pts.shape[0])
-    rec = boundary.scan_roots(np.full(14, 0.5), 4, free_index=3, eval_fn=ev)
-    assert not rec.feasible
-    assert rec.roots == []
+    assert _scan(ev, np.full(14, 0.5)) == ([], 0)
 
 
 def test_scan_roots_counts_skipped_nodes():
@@ -63,15 +65,13 @@ def test_scan_roots_counts_skipped_nodes():
         f = pts[:, 3] - 0.5
         f[nan_at(pts[:, 3])] = np.nan
         return f, np.ones(pts.shape[0])
-    rec = boundary.scan_roots(np.full(14, 0.5), 4, free_index=3, eval_fn=ev, grid=32)
-    assert rec.skipped_nodes == 4
-    assert len(rec.roots) == 1
+    roots, skipped = _scan(ev, np.full(14, 0.5), grid=32)
+    assert skipped == 4
+    assert len(roots) == 1
     # a non-finite node blocks the brackets on both sides of it: the crossing
     # at t = 0.5 lies between nodes 15/31 and 16/31, and node 16/31 is NaN
-    rec = boundary.scan_roots(np.full(14, 0.5), 4, free_index=3, grid=32,
-                              eval_fn=lambda pts: ev(pts, lambda t: abs(t - 16 / 31) < 0.01))
-    assert rec.skipped_nodes == 1
-    assert rec.roots == [] and not rec.feasible
+    assert _scan(lambda pts: ev(pts, lambda t: abs(t - 16 / 31) < 0.01),
+                 np.full(14, 0.5), grid=32) == ([], 1)
 
 
 def test_grazing_crossing_gets_zero_weight():
@@ -80,28 +80,24 @@ def test_grazing_crossing_gets_zero_weight():
         return 1e-12 * (pts[:, 3] - 0.5) + (pts[:, 0] - 0.3), np.ones(pts.shape[0])
     base = np.full(14, 0.5)
     base[0] = 0.3
-    rec = boundary.scan_roots(base, 4, free_index=3, eval_fn=ev)
-    assert len(rec.roots) == 1
-    assert rec.roots[0][1] == 0.0
-
-
-def test_scan_roots_validation():
-    with pytest.raises(ValueError, match="grid"):
-        boundary.scan_roots(np.full(14, 0.5), 4, eval_fn=lambda p: p, grid=1)
+    roots, _ = _scan(ev, base)
+    assert len(roots) == 1
+    assert roots[0][1] == 0.0
 
 
 def test_real_roots_have_small_residual():
     """Refined m=6 roots pin a vanishing partial-transpose eigenvalue."""
     from sepvol import qmc
 
+    eps_root = 1e-10  # bound on the smallest |PT eigenvalue| at a refined root
     bases = qmc.points(qmc.ScrambleSpec(0), 34, 0, 12)
     found = 0
     for base in bases:
-        rec = boundary.scan_roots(base, 6, grid=32)
-        for t, _ in rec.roots:
+        roots, _ = _scan(boundary._det_eval(6), base, grid=32, free=0)
+        for t, _ in roots:
             found += 1
-            assert root_residual(base, t, 6, 0) <= boundary.EPS_ROOT
-        ts = [t for t, _ in rec.roots]
+            assert root_residual(base, t, 6, 0) <= eps_root
+        ts = [t for t, _ in roots]
         assert ts == sorted(ts)
     assert found > 0
 

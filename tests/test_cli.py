@@ -95,6 +95,25 @@ def test_constants_unsupported_m(capsys):
     assert cli.main(["constants", "--m", "5"]) == 2
 
 
+# `sepvol estimate --deviation` CSV headers; the per-form column names are the
+# form labels, which checkpoints and downstream readers depend on
+ESTIMATE_HEADERS = {
+    6: ("n,est_D,est_H,est_DH,est_V,sep_vol_block3,sep_vol_block2,sep_prob_block3,"
+        "sep_prob_block2,mean_neg,mean_logneg,degenerate,dev_D,dev_H,dev_V"),
+    8: ("n,est_D,est_H,est_DH,est_V,ppt_vol_factors2x2x2t0,ppt_vol_factors2x2x2t1,"
+        "ppt_vol_factors2x2x2t2,ppt_prob_factors2x2x2t0,ppt_prob_factors2x2x2t1,"
+        "ppt_prob_factors2x2x2t2,mean_neg,mean_logneg,degenerate,dev_D,dev_H,dev_V"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(ESTIMATE_HEADERS))
+def test_estimate_deviation_header_golden(tmp_path, m):
+    out = tmp_path / "est.csv"
+    assert cli.main(["estimate", "--m", str(m), "--points", "20", "--deviation",
+                     "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == ESTIMATE_HEADERS[m]
+
+
 def test_estimate_csv(tmp_path):
     out = str(tmp_path / "est.csv")
     rc = cli.main(["estimate", "--m", "4", "--points", "2000",
@@ -249,6 +268,21 @@ def test_boundary_zero_points_exits_2(tmp_path):
 def test_boundary_grid_below_2_exits_2(tmp_path, grid):
     assert cli.main(["boundary", "--m", "4", "--points", "50", "--grid", grid,
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("option, value", [("--grid", "1"), ("--m", "5"), ("--free-index", "99"),
+                                           ("--points", "0"), ("--skip", "-1")])
+def test_boundary_bad_input_leaves_out_untouched(tmp_path, option, value):
+    out = tmp_path / "area.csv"
+    out.write_text("bases,feasible,roots,area\n512,40,41,9.5\n")
+    argv = {"--m": "4", "--points": "50", "--out": str(out), option: value}
+    assert cli.main(["boundary"] + [x for kv in argv.items() for x in kv]) == 2
+    assert out.read_text() == "bases,feasible,roots,area\n512,40,41,9.5\n"
+
+
+def test_boundary_unwritable_out_exits_3():
+    assert cli.main(["boundary", "--m", "4", "--points", "10",
+                     "--out", "/nonexistent-dir/area.csv"]) == 3
 
 
 def test_iso_check_text_and_json(capsys):

@@ -23,8 +23,8 @@ def test_run_config_validation():
 
 
 def test_run_config_default_forms():
-    assert estimator.RunConfig(6, 10, 10, seed=0).forms == (3, 2)
-    assert estimator.RunConfig(4, 10, 10, seed=0).forms == (2,)
+    assert estimator.RunConfig(6, 10, 10, seed=0).forms == quantum.forms_for(6)
+    assert estimator.RunConfig(4, 10, 10, seed=0).forms == quantum.forms_for(4)
 
 
 def test_config_hash_ignores_workers():
@@ -36,11 +36,30 @@ def test_config_hash_ignores_workers():
 
 
 def test_form_label():
-    assert estimator.form_label(3) == "block3"
-    assert estimator.form_label(quantum.FactorSplit((2, 2, 2), frozenset({0}))) == \
-        "factors2x2x2t0"
-    assert estimator.form_label(quantum.FactorSplit((3, 3), frozenset({1}))) == \
-        "factors3x3t1"
+    """The labels name the CSV columns and enter config_hash, so they never change."""
+    labels = {m: [f.label for f in quantum.forms_for(m)] for m in (4, 6, 8, 9)}
+    assert labels == {4: ["block2"], 6: ["block3", "block2"],
+                      8: ["factors2x2x2t0", "factors2x2x2t1", "factors2x2x2t2"],
+                      9: ["factors3x3t1"]}
+
+
+# RunConfig(m, 10**6, 10**5, 21) as written at sepvol-checkpoint-2; a drift here
+# stops checkpoints written before it from resuming
+CONFIG_GOLDEN = {
+    4: ("block2", "9a6dd821b892e939"),
+    6: ("block3;block2", "73129b9fe6413a21"),
+    8: ("factors2x2x2t0;factors2x2x2t1;factors2x2x2t2", "9e0b3b7e38b14e93"),
+    9: ("factors3x3t1", "f2a136e8b9618efc"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(CONFIG_GOLDEN))
+def test_config_identity_golden(m):
+    forms, digest = CONFIG_GOLDEN[m]
+    cfg = estimator.RunConfig(m, 10**6, 10**5, 21)
+    assert cfg.canonical() == (f"m={m} points=1000000 checkpoint_every=100000 seed=21 "
+                               f"skip=409 forms={forms}")
+    assert cfg.config_hash() == digest
 
 
 def test_block_ranges():
@@ -107,7 +126,7 @@ def test_accumulate_ppt_sample_counts_separable():
     cfg = estimator.RunConfig(4, 200, 200, seed=21)
     dec = param.decode_batch(qmc.points(qmc.ScrambleSpec(21), 15, 0, 200), 4)
     i = next(i for i in range(200)
-             if not dec.degenerate[i] and is_ppt(dec.rho[i], 2))
+             if not dec.degenerate[i] and is_ppt(dec.rho[i], cfg.forms[0]))
     acc = estimator.SampleAccumulator(1)
     acc.merge_block(*estimator._compute_block((cfg, i, 1)))
     assert acc.count_sep[0] == 1

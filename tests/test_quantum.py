@@ -6,6 +6,9 @@ from oracles import is_ppt, min_pt_eigenvalue
 
 from sepvol import param, qmc, quantum
 
+QUBIT_QUBIT = quantum.forms_for(4)[0]
+QUBIT_QUTRIT = quantum.forms_for(6)[0]  # transposes the qutrit
+
 
 def test_block_partial_transpose_4x4():
     rho = np.arange(16, dtype=float).reshape(4, 4)
@@ -15,12 +18,7 @@ def test_block_partial_transpose_4x4():
         [8, 12, 10, 14],
         [9, 13, 11, 15],
     ], dtype=float)
-    assert np.array_equal(quantum.partial_transpose(rho, 2), expected)
-
-
-def test_block_partial_transpose_bad_block():
-    with pytest.raises(ValueError):
-        quantum.partial_transpose(np.eye(6), 4)
+    assert np.array_equal(quantum.partial_transpose(rho, QUBIT_QUBIT), expected)
 
 
 def _random_complex(rng, n):
@@ -28,11 +26,11 @@ def _random_complex(rng, n):
 
 
 def test_partial_transpose_on_kronecker_products():
-    """On A (x) B the block form transposes exactly the block-sized factor."""
+    """On A (x) B the block3 form transposes exactly the 3-dimensional factor."""
     rng = np.random.default_rng(0)
     A, B = _random_complex(rng, 2), _random_complex(rng, 3)
     rho = np.kron(A, B)
-    assert np.array_equal(quantum.partial_transpose(rho, 3), np.kron(A, B.T))
+    assert np.array_equal(quantum.partial_transpose(rho, QUBIT_QUTRIT), np.kron(A, B.T))
     assert np.array_equal(
         quantum.factor_partial_transpose(rho, (2, 3), {1}), np.kron(A, B.T))
     assert np.array_equal(
@@ -64,9 +62,9 @@ def test_bell_state():
     for i in (0, 3):
         for j in (0, 3):
             bell[i, j] = 0.5
-    assert min_pt_eigenvalue(bell, 2) == pytest.approx(-0.5, abs=1e-12)
-    assert quantum.negativity(bell, 2) == pytest.approx(0.5, abs=1e-12)
-    assert not is_ppt(bell, 2)
+    assert min_pt_eigenvalue(bell, QUBIT_QUBIT) == pytest.approx(-0.5, abs=1e-12)
+    assert quantum.negativity(bell, QUBIT_QUBIT) == pytest.approx(0.5, abs=1e-12)
+    assert not is_ppt(bell, QUBIT_QUBIT)
 
 
 def test_werner_states():
@@ -75,36 +73,37 @@ def test_werner_states():
     proj = np.outer(psi, psi)
     for p, eig in ((0.5, -1 / 8), (0.25, 1 / 16)):
         rho = p * proj + (1 - p) * np.eye(4) / 4
-        assert min_pt_eigenvalue(rho, 2) == pytest.approx(eig, abs=1e-12)
-    assert quantum.negativity(0.5 * proj + 0.5 * np.eye(4) / 4, 2) == \
+        assert min_pt_eigenvalue(rho, QUBIT_QUBIT) == pytest.approx(eig, abs=1e-12)
+    assert quantum.negativity(0.5 * proj + 0.5 * np.eye(4) / 4, QUBIT_QUBIT) == \
         pytest.approx(1 / 8, abs=1e-12)
-    assert quantum.negativity(0.25 * proj + 0.75 * np.eye(4) / 4, 2) == 0.0
+    assert quantum.negativity(0.25 * proj + 0.75 * np.eye(4) / 4, QUBIT_QUBIT) == 0.0
 
 
 def test_product_state_is_ppt():
     rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]))
-    assert is_ppt(rho, 2)
-    assert quantum.negativity(rho, 2) == 0.0
+    assert is_ppt(rho, QUBIT_QUBIT)
+    assert quantum.negativity(rho, QUBIT_QUBIT) == 0.0
 
 
 def test_forms_for():
-    assert quantum.forms_for(4) == [2]
-    assert quantum.forms_for(6) == [3, 2]
-    f8 = quantum.forms_for(8)
-    assert [f.dims for f in f8] == [(2, 2, 2)] * 3
-    assert [f.transposed for f in f8] == [frozenset({0}), frozenset({1}), frozenset({2})]
-    assert quantum.forms_for(9) == [quantum.FactorSplit((3, 3), frozenset({1}))]
+    def splits(m):
+        return [(f.dims, set(f.transposed)) for f in quantum.forms_for(m)]
+    assert splits(4) == [((2, 2), {1})]
+    assert splits(6) == [((2, 3), {1}), ((3, 2), {1})]
+    assert splits(8) == [((2, 2, 2), {0}), ((2, 2, 2), {1}), ((2, 2, 2), {2})]
+    assert splits(9) == [((3, 3), {1})]
     with pytest.raises(ValueError):
         quantum.forms_for(5)
 
 
 def test_factor_split_validation():
-    with pytest.raises(ValueError):
-        quantum.FactorSplit((2, 3), frozenset())
-    with pytest.raises(ValueError):
-        quantum.FactorSplit((2, 3), frozenset({0, 1}))  # proper subset required
+    """The kernel rejects dims that do not multiply to m and out-of-range factor sets."""
     with pytest.raises(ValueError):
         quantum.factor_partial_transpose(np.eye(6), (2, 2), {0})
+    with pytest.raises(ValueError):
+        quantum.factor_partial_transpose(np.eye(6), (2, 3), set())
+    with pytest.raises(ValueError):
+        quantum.factor_partial_transpose(np.eye(6), (2, 3), {2})
 
 
 def test_batch_outputs():
@@ -112,9 +111,9 @@ def test_batch_outputs():
     M = rng.normal(size=(5, 4, 4))
     rho = M @ np.swapaxes(M, 1, 2)
     rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
-    neg = quantum.negativity(rho, 2)
+    neg = quantum.negativity(rho, QUBIT_QUBIT)
     assert neg.shape == (5,)
-    assert isinstance(quantum.negativity(rho[0], 2), float)
+    assert isinstance(quantum.negativity(rho[0], QUBIT_QUBIT), float)
 
 
 def test_ppt_iff_zero_negativity_on_sampled_states():
