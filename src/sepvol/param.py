@@ -18,6 +18,8 @@ volume, which is the binding correctness check.
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,30 @@ def euler_box_volume(m: int) -> float:
     return np.pi ** (m - 1) * (2 * np.pi) ** wide * (np.pi / 2) ** P
 
 
+_Plan = namedtuple("_Plan", "layout cols phase_range narrow wide first second expo log_box pairs")
+
+
+@functools.cache
+def _plan(m: int) -> _Plan:
+    """Index arrays and constants of the decode at one m, built once per m.
+
+    cols: the point column of each pair's rotation, then of its phase.  Rotation
+    log density: log sin 2x on narrow pairs (j == 2); logs[first] + expo *
+    logs[second] on wide ones, logs stacking log sin over log cos by pair.
+    """
+    lay = euler_layout(m)
+    P = len(lay)
+    ks, js = np.array(lay).T
+    wide = np.flatnonzero(js > 2)
+    rot_slot = np.argsort(np.argsort(-js, kind="stable"))  # see split_euler_coords
+    return _Plan(
+        layout=lay, cols=m - 1 + np.concatenate([rot_slot, P + np.arange(P)]),
+        phase_range=euler_phase_ranges(m)[:, None], narrow=np.flatnonzero(js == 2), wide=wide,
+        first=wide + P * (ks == js)[wide], second=wide + P * (ks != js)[wide],
+        expo=(2.0 * js[wide] - 3)[:, None], log_box=np.log(euler_box_volume(m)),
+        pairs=np.triu_indices(m, 1))
+
+
 def split_euler_coords(m: int, eu: np.ndarray):
     """Map the m(m-1) Euler-slice unit coords to per-pair (phase, rotation) columns.
 
@@ -50,11 +76,7 @@ def split_euler_coords(m: int, eu: np.ndarray):
     order.
     """
     P = m * (m - 1) // 2
-    lay = euler_layout(m)
-    b = np.empty((eu.shape[0], P))
-    for slot, p in enumerate(sorted(range(P), key=lambda p: -lay[p][1])):
-        b[:, p] = eu[:, slot]
-    return eu[:, P:], b
+    return eu[:, P:], eu[:, _plan(m).cols[:P] - (m - 1)]
 
 
 def _simplex_decode(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,50 +99,43 @@ def _simplex_decode(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eig_density_log(lam: np.ndarray) -> np.ndarray:
-    # log of prod_{i<j} 4(l_i - l_j)^2 / (l_i + l_j) / sqrt(prod l)
-    B, m = lam.shape
+    # log of prod_{i<j} 4(l_i - l_j)^2 / (l_i + l_j) / sqrt(prod l), added pair by pair
+    i, j = _plan(lam.shape[1]).pairs  # i < j, row by row
     out = -0.5 * np.log(np.maximum(lam, _TINY)).sum(axis=1)
     with np.errstate(divide="ignore"):
-        for i in range(m):
-            for j in range(i + 1, m):
-                out += np.log(4 * (lam[:, i] - lam[:, j]) ** 2 + _TINY)
-                out -= np.log(lam[:, i] + lam[:, j])
+        gaps = np.log(4 * (lam.T[i] - lam.T[j]) ** 2 + _TINY)
+        sums = np.log(lam.T[i] + lam.T[j])
+    for g, s in zip(gaps, sums):
+        out += g
+        out -= s
     return out
 
 
-def _haar_log_density(b: np.ndarray, layout: list[tuple[int, int]]) -> np.ndarray:
-    # per-pair rotation density; each wide-phase pair contributes a further 1/2
-    lw = np.zeros(b.shape[0])
-    wide = 0
-    with np.errstate(divide="ignore"):
-        for p, (k, j) in enumerate(layout):
-            x = b[:, p]
-            if j == 2:
-                lw += np.log(np.sin(2 * x) + _TINY)
-                continue
-            wide += 1
-            if j == k:
-                lw += np.log(np.cos(x) + _TINY) + (2 * j - 3) * np.log(np.sin(x) + _TINY)
-            else:
-                lw += np.log(np.sin(x) + _TINY) + (2 * j - 3) * np.log(np.cos(x) + _TINY)
-    return lw - wide * np.log(2.0)
+def _haar_log_density(b: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray, plan) -> np.ndarray:
+    # (P, B) rotation angles -> log density, added pair by pair in layout
+    # order; each wide-phase pair contributes a further 1/2
+    logs = np.log(np.concatenate([sin_b, cos_b]) + _TINY)
+    term = np.empty_like(b)
+    term[plan.narrow] = np.log(np.sin(2 * b[plan.narrow]) + _TINY)
+    term[plan.wide] = logs[plan.first] + plan.expo * logs[plan.second]
+    lw = np.zeros(b.shape[1])
+    for t in term:
+        lw += t
+    return lw - len(plan.wide) * np.log(2.0)
 
 
-def _unitary_batch(a: np.ndarray, b: np.ndarray, m: int,
+def _unitary_batch(a: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray, m: int,
                    layout: list[tuple[int, int]]) -> np.ndarray:
-    B = a.shape[0]
-    W = np.zeros((B, m, m), dtype=np.complex128)
-    W[:, np.arange(m), np.arange(m)] = 1.0
-    for p, (_, j) in enumerate(layout):
-        ph = np.exp(1j * a[:, p])[:, None]
-        W[:, :, m - 1] *= ph
-        W[:, :, m - 2] *= np.conj(ph)
-        c = np.cos(b[:, p])[:, None]
-        s = np.sin(b[:, p])[:, None]
-        piv = W[:, :, m - 1].copy()
-        tgt = W[:, :, m - j].copy()
-        W[:, :, m - 1] = c * piv - s * tgt
-        W[:, :, m - j] = s * piv + c * tgt
+    """(m, m, B) unitaries from (P, B) phases and rotation cos, sin; W[c] is column c."""
+    ph = np.exp(1j * a)
+    W = np.zeros((m, m, a.shape[1]), dtype=np.complex128)
+    W[np.arange(m), np.arange(m)] = 1.0
+    for (_, j), e, e_conj, c, s in zip(layout, ph, np.conj(ph), cos_b, sin_b):
+        W[m - 1] *= e
+        W[m - 2] *= e_conj
+        piv = c * W[m - 1] - s * W[m - j]
+        W[m - j] = s * W[m - 1] + c * W[m - j]
+        W[m - 1] = piv
     return W
 
 
@@ -141,15 +156,18 @@ def decode_batch(pts: np.ndarray, m: int) -> DecodedBatch:
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != m * m - 1:
         raise ValueError(f"expected (B, {m * m - 1}) points for m={m}")
-    lay = euler_layout(m)
+    plan = _plan(m)
     theta = pts[:, : m - 1] * (np.pi / 2)
     lam, logj = _simplex_decode(theta)
     log_wD = _eig_density_log(lam) + logj + (m - 1) * np.log(np.pi / 2)
-    au, bu = split_euler_coords(m, pts[:, m - 1:])
-    a = au * euler_phase_ranges(m)[None, :]
-    b = bu * (np.pi / 2)
-    log_wH = _haar_log_density(b, lay) + np.log(euler_box_volume(m))
-    U = _unitary_batch(a, b, m, lay)
+    rot, phase = np.split(pts.T[plan.cols], 2)  # (P, B) each, pairs in layout order
+    b = rot * (np.pi / 2)
+    cos_b, sin_b = np.cos(b), np.sin(b)
+    log_wH = _haar_log_density(b, cos_b, sin_b, plan) + plan.log_box
+    W = _unitary_batch(phase * plan.phase_range, cos_b, sin_b, m, plan.layout)
+    del rot, phase, b, cos_b, sin_b  # free first: the copy and the einsum set peak memory
+    U = np.ascontiguousarray(W.transpose(2, 1, 0))
+    del W
     rho = np.einsum("bij,bj,bkj->bik", U, lam.astype(np.complex128), np.conj(U))
     degenerate = (lam < DEGENERATE_EPS).any(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,6 +8,8 @@ permutations come from a counter-based generator keyed by (seed, base), so any
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .exactform import first_primes
@@ -15,30 +17,28 @@ from .exactform import first_primes
 DEFAULT_SKIP = 409
 
 
+@functools.lru_cache(maxsize=256)  # every base of a few seeds; a run keeps one seed
 def permutation_for(seed: int, base: int) -> np.ndarray:
-    """Digit permutation of {0..base-1} with perm[0] = 0, keyed by (seed, base)."""
+    """Read-only digit permutation of {0..base-1} with perm[0] = 0, keyed by (seed, base)."""
     key = np.random.SeedSequence([seed, base]).generate_state(2, dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     perm = np.empty(base, dtype=np.int64)
     perm[0] = 0
     perm[1:] = rng.permutation(base - 1) + 1
+    perm.flags.writeable = False
     return perm
 
 
 class ScrambleSpec:
-    """Scrambling parameters plus lazily cached per-base digit permutations."""
+    """Scrambling parameters; the per-base digit permutations are cached per process."""
 
     def __init__(self, seed: int, skip: int = DEFAULT_SKIP):
+        if seed < 0:
+            raise ValueError("seed must be nonnegative")
         if skip < 0:
             raise ValueError("skip must be nonnegative")
         self.seed = int(seed)
         self.skip = int(skip)
-        self._perms: dict[int, np.ndarray] = {}
-
-    def permutation(self, base: int) -> np.ndarray:
-        if base not in self._perms:
-            self._perms[base] = permutation_for(self.seed, base)
-        return self._perms[base]
 
 
 def points(spec: ScrambleSpec, d: int, start: int, count: int) -> np.ndarray:
@@ -46,7 +46,7 @@ def points(spec: ScrambleSpec, d: int, start: int, count: int) -> np.ndarray:
     idx = np.arange(start + spec.skip, start + spec.skip + count, dtype=np.int64)
     out = np.empty((count, d))
     for j, base in enumerate(first_primes(d)):
-        perm = spec.permutation(base)
+        perm = permutation_for(spec.seed, base)
         x = np.zeros(count)
         scale = 1.0 / base
         rem = idx.copy()

@@ -240,6 +240,19 @@ def test_estimate_negative_skip_leaves_out_untouched(tmp_path):
     assert out.read_text() == "n,est_D\n1000,0.5\n"
 
 
+@pytest.mark.parametrize("cmd, content", [
+    ("estimate", "n,est_D\n1000,0.5\n"),
+    ("boundary", "bases,feasible,roots,area\n512,40,41,9.5\n")])
+def test_negative_seed_exits_2_and_leaves_out_untouched(tmp_path, capsys, cmd, content):
+    out = tmp_path / "rows.csv"
+    out.write_text(content)
+    before = out.read_bytes()
+    assert cli.main([cmd, "--m", "4", "--points", "100", "--seed", "-1",
+                     "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
 def test_estimate_unwritable_out_exits_3():
     rc = cli.main(["estimate", "--m", "4", "--points", "10",
                    "--out", "/nonexistent-dir/x.csv"])

@@ -20,6 +20,8 @@ def test_run_config_validation():
         estimator.RunConfig(4, 100, 10, seed=0, workers=0)
     with pytest.raises(ValueError):
         estimator.RunConfig(4, 100, 10, seed=0, skip=-1)
+    with pytest.raises(ValueError, match="seed"):
+        estimator.RunConfig(4, 100, 10, seed=-1)
 
 
 def test_run_config_default_forms():

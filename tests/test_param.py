@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import decode_reference
 
 from sepvol import exactform, param, qmc
 
@@ -100,11 +101,15 @@ def test_simplex_density_m3():
 
 def test_unitary_from_angles_unitarity():
     rng = np.random.default_rng(5)
-    a = rng.uniform(0, 1, (50, 6)) * param.euler_phase_ranges(4)
-    b = rng.uniform(0, np.pi / 2, (50, 6))
-    U = param._unitary_batch(a, b, 4, param.euler_layout(4))
-    assert np.abs(U @ np.conj(np.swapaxes(U, 1, 2)) - np.eye(4)).max() < 1e-12
-    assert np.abs(np.abs(np.linalg.det(U)) - 1).max() < 1e-12
+    for m in (4, 6, 8, 9):
+        P = m * (m - 1) // 2
+        a = rng.uniform(0, 1, (P, 50)) * param.euler_phase_ranges(m)[:, None]
+        b = rng.uniform(0, np.pi / 2, (P, 50))
+        W = param._unitary_batch(a, np.cos(b), np.sin(b), m, param.euler_layout(m))
+        U = W.transpose(2, 1, 0)  # W[c, r, i] is entry (r, c) of unitary i
+        assert U.shape == (50, m, m)
+        assert np.abs(U @ np.conj(np.swapaxes(U, 1, 2)) - np.eye(m)).max() < 1e-12
+        assert np.abs(np.abs(np.linalg.det(U)) - 1).max() < 1e-12
 
 
 def _sample_points(m, n, seed=21):
@@ -143,6 +148,50 @@ def test_decode_flags_degenerate_corner():
     dec = param.decode_batch(p[None, :], 4)
     assert dec.degenerate[0]
     assert dec.w[0] == 0.0
+
+
+_DECODED_FIELDS = ("rho", "lam", "w_D", "w_H", "w", "degenerate")
+
+
+def _edge_points(m, n):
+    """n scrambled-Halton points, some with coordinates at exactly 0 or 1.
+
+    Row 0 is all 0 and row 1 all 1.  From row 4 on, row r has coordinate
+    r mod d at 0 in its first sweep over the d coordinates, at 1 in the
+    second, and so on.  At those edges _TINY keeps the logs finite, and
+    zero eigenvalues make degenerate rows.
+    """
+    pts = _sample_points(m, n)
+    d = m * m - 1
+    pts[0] = 0.0
+    pts[1 % n] = 1.0
+    for r in range(4, n):
+        pts[r, r % d] = float((r // d) % 2)
+    return pts
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9])
+@pytest.mark.parametrize("n", [1, 71, 4096])
+def test_decode_batch_matches_reference_bytes(m, n):
+    """The batch-last decode gives the bytes of the (B, m, m) reference, field by field."""
+    pts = _edge_points(m, n)
+    new, ref = param.decode_batch(pts, m), decode_reference(pts, m)
+    for field in _DECODED_FIELDS:
+        assert getattr(new, field).tobytes() == getattr(ref, field).tobytes(), field
+    if n > 1:
+        assert new.degenerate.any() and not new.degenerate.all()
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9])
+def test_decode_batch_does_not_depend_on_batch_size(m):
+    """4096 points decoded at once give the bytes of the same points decoded in slices."""
+    pts = _edge_points(m, 4096)
+    whole = param.decode_batch(pts, m)
+    for size in (1, 71, 900):
+        parts = [param.decode_batch(pts[s:s + size], m) for s in range(0, 4096, size)]
+        for field in _DECODED_FIELDS:
+            joined = np.concatenate([getattr(p, field) for p in parts])
+            assert joined.tobytes() == getattr(whole, field).tobytes(), (size, field)
 
 
 def test_decode_batch_rejects_wrong_width():

@@ -25,7 +25,7 @@ def test_points_match_radical_inverse():
     spec = qmc.ScrambleSpec(7, skip=0)
     pts = qmc.points(spec, 3, 4, 8)
     for j, base in enumerate([2, 3, 5]):
-        perm = spec.permutation(base)
+        perm = qmc.permutation_for(spec.seed, base)
         for i in range(8):
             assert pts[i, j] == pytest.approx(radical_inverse(4 + i, base, perm))
 
@@ -50,11 +50,19 @@ def test_permutation_properties():
 
 
 def test_permutation_reproducible_across_specs():
-    """The same (seed, base) key yields the same digit permutation anywhere."""
-    a = qmc.ScrambleSpec(11).permutation(13)
-    b = qmc.ScrambleSpec(11).permutation(13)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, qmc.permutation_for(11, 13))
+    """The same (seed, base) key yields the same digit permutation anywhere.
+
+    The process-wide cache hands out read-only arrays equal to a fresh
+    computation, and points drawn after the cache evicted their seed's
+    permutations are bit-identical to those drawn before.
+    """
+    cached = qmc.permutation_for(11, 13)
+    assert np.array_equal(cached, qmc.permutation_for.__wrapped__(11, 13))
+    assert not cached.flags.writeable
+    before = qmc.points(qmc.ScrambleSpec(11), 35, 0, 64)
+    for seed in range(12, 12 + qmc.permutation_for.cache_info().maxsize // 35 + 1):
+        qmc.points(qmc.ScrambleSpec(seed), 35, 0, 1)
+    assert np.array_equal(qmc.points(qmc.ScrambleSpec(11), 35, 0, 64), before)
 
 
 def test_points_deterministic_and_blockwise_consistent():
@@ -85,3 +93,8 @@ def test_scrambled_marginals_uniform():
 def test_negative_skip_rejected():
     with pytest.raises(ValueError):
         qmc.ScrambleSpec(0, skip=-1)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed"):
+        qmc.ScrambleSpec(-1)
