@@ -136,7 +136,7 @@ def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int 
         raise ValueError(f"free_index {free} outside [0, {d})")
     if eval_fn is None:
         eval_fn = _det_eval(m)
-    spec = qmc.ScrambleSpec(seed, skip)
+    spec = qmc.ScrambleSpec(seed, skip, base_points)
     total = 0.0
     n_feasible = 0
     n_roots = 0

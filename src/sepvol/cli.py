@@ -268,8 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (exactform.UnsupportedDimensionError, estimator.ConfigMismatchError,
-            ValueError) as err:
+    except ValueError as err:  # ConfigMismatchError, UnsupportedDimensionError among them
         print(f"sepvol: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

@@ -44,14 +44,11 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.m not in (4, 6, 8, 9):
+        if self.m not in quantum.DIMENSIONS:
             raise ValueError(f"unsupported dimension m={self.m}")
         if not self.points >= self.checkpoint_every >= 1:
             raise ValueError("need points >= checkpoint_every >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.skip < 0:
-            raise ValueError("skip must be nonnegative")
+        qmc.ScrambleSpec(self.seed, self.skip, self.points)  # rejects a bad seed, skip or index range
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import param, quantum
+
 
 class UnsupportedDimensionError(ValueError):
     """Dimension outside the set this formula is defined for."""
@@ -118,20 +120,13 @@ def diagonal_volume(n: int) -> ExactValue:
     return ExactValue(c * 4**K * math.factorial(K) / math.factorial(2 * K), (n - 1) // 2)
 
 
-_HAAR = {  # m: (pi power, denominator)
-    4: (6, 2**5 * 3),
-    6: (15, 2**18 * 3**3 * 5),
-    8: (28, 2**37 * 3**7 * 5**3 * 7),
-    9: (36, 2**51 * 3**9 * 5**4 * 7**2),
-}
-
-
 def truncated_haar_volume(m: int) -> ExactValue:
-    """Volume of the truncated Euler-angle coordinate box of SU(m), tabulated."""
-    if m not in _HAAR:
-        raise UnsupportedDimensionError(f"m={m}: truncated Haar volume known for {sorted(_HAAR)}")
-    k, den = _HAAR[m]
-    return ExactValue(Fraction(1, den), k)
+    """Volume of the truncated Euler-angle box of SU(m): per pair, phase range times integral."""
+    if m not in quantum.DIMENSIONS:
+        raise UnsupportedDimensionError(
+            f"m={m}: truncated Haar volume known for {sorted(quantum.DIMENSIONS)}")
+    pairs = param.euler_pairs(m)
+    return ExactValue(math.prod(p.phase * p.integral for p in pairs), len(pairs))
 
 
 def total_volume(m: int) -> ExactValue:

@@ -5,9 +5,8 @@ affinely onto the m-1 simplex angles; coordinates m-1..m^2-2 map onto the
 m(m-1) Euler angles.  The first m(m-1)/2 of them are the rotation angles,
 assigned to coupling pairs in decreasing coupling width j so the heaviest
 angle densities ride the lowest prime bases; the phases follow in layout
-order.  Native ranges: simplex and rotation angles
-[0, pi/2], phase angles [0, pi] for the first pair of a block and [0, 2*pi]
-otherwise.
+order.  Simplex angles range over [0, pi/2]; euler_pairs gives each pair's
+phase range and rotation density.
 
 The SU(m) factorization walks coupling pairs (k, j), k = m..2, j = 2..k: each
 pair applies a two-column phase followed by a Givens-type rotation mixing the
@@ -21,6 +20,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,15 +33,24 @@ def euler_layout(m: int) -> list[tuple[int, int]]:
     return [(k, j) for k in range(m, 1, -1) for j in range(2, k + 1)]
 
 
-def euler_phase_ranges(m: int) -> np.ndarray:
-    """Native phase range per pair: pi when j == 2, else 2*pi."""
-    return np.array([np.pi if j == 2 else 2 * np.pi for _, j in euler_layout(m)])
+# One coupling pair's share of the Haar measure on the Euler-angle box.  phase is
+# the phase range in units of pi.  The rotation angle x in [0, pi/2] has density
+# sin 2x (kind "sin2x", j == 2), 1/2 cos x sin^expo x ("cos_sin", j == k) or
+# 1/2 sin x cos^expo x ("sin_cos"), expo = 2j - 3; integral is its exact integral.
+EulerPair = namedtuple("EulerPair", "k j phase kind expo integral")
 
 
-def euler_box_volume(m: int) -> float:
-    P = m * (m - 1) // 2
-    wide = P - (m - 1)
-    return np.pi ** (m - 1) * (2 * np.pi) ** wide * (np.pi / 2) ** P
+def euler_pairs(m: int) -> tuple[EulerPair, ...]:
+    """The Haar convention of each coupling pair, in euler_layout order."""
+    out = []
+    for k, j in euler_layout(m):
+        if j == 2:
+            out.append(EulerPair(k, j, 1, "sin2x", 0, Fraction(1)))
+        else:
+            expo = 2 * j - 3
+            out.append(EulerPair(k, j, 2, "cos_sin" if j == k else "sin_cos", expo,
+                                 Fraction(1, 2 * (expo + 1))))
+    return tuple(out)
 
 
 _Plan = namedtuple("_Plan", "layout cols phase_range narrow wide first second expo log_box pairs")
@@ -49,34 +58,29 @@ _Plan = namedtuple("_Plan", "layout cols phase_range narrow wide first second ex
 
 @functools.cache
 def _plan(m: int) -> _Plan:
-    """Index arrays and constants of the decode at one m, built once per m.
+    """Index arrays and constants of the decode at one m, built once per m from euler_pairs.
 
     cols: the point column of each pair's rotation, then of its phase.  Rotation
-    log density: log sin 2x on narrow pairs (j == 2); logs[first] + expo *
-    logs[second] on wide ones, logs stacking log sin over log cos by pair.
+    log density: log sin 2x on narrow pairs; logs[first] + expo * logs[second]
+    on wide ones, logs stacking log sin over log cos by pair.
     """
-    lay = euler_layout(m)
-    P = len(lay)
-    ks, js = np.array(lay).T
-    wide = np.flatnonzero(js > 2)
-    rot_slot = np.argsort(np.argsort(-js, kind="stable"))  # see split_euler_coords
+    table = euler_pairs(m)
+    P = len(table)
+    kind = np.array([p.kind for p in table])
+    phase = np.array([p.phase for p in table])
+    wide = np.flatnonzero(kind != "sin2x")
+    cos_first = (kind == "cos_sin")[wide]
+    rot_slot = np.argsort(np.argsort([-p.j for p in table], kind="stable"))
+    n_pi = int((phase == 1).sum())
+    # box volume pi^n_pi (2 pi)^(P - n_pi) (pi/2)^P, in this float order: rows depend on its bits
+    box = np.pi ** n_pi * (2 * np.pi) ** (P - n_pi) * (np.pi / 2) ** P
     return _Plan(
-        layout=lay, cols=m - 1 + np.concatenate([rot_slot, P + np.arange(P)]),
-        phase_range=euler_phase_ranges(m)[:, None], narrow=np.flatnonzero(js == 2), wide=wide,
-        first=wide + P * (ks == js)[wide], second=wide + P * (ks != js)[wide],
-        expo=(2.0 * js[wide] - 3)[:, None], log_box=np.log(euler_box_volume(m)),
+        layout=[(p.k, p.j) for p in table],
+        cols=m - 1 + np.concatenate([rot_slot, P + np.arange(P)]),
+        phase_range=np.pi * phase[:, None], narrow=np.flatnonzero(kind == "sin2x"), wide=wide,
+        first=wide + P * cos_first, second=wide + P * ~cos_first,
+        expo=np.array([float(p.expo) for p in table])[wide, None], log_box=np.log(box),
         pairs=np.triu_indices(m, 1))
-
-
-def split_euler_coords(m: int, eu: np.ndarray):
-    """Map the m(m-1) Euler-slice unit coords to per-pair (phase, rotation) columns.
-
-    The first P coords are rotations, assigned to pairs in decreasing j
-    (heaviest densities take the lowest prime bases), then phases in layout
-    order.
-    """
-    P = m * (m - 1) // 2
-    return eu[:, P:], eu[:, _plan(m).cols[:P] - (m - 1)]
 
 
 def _simplex_decode(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

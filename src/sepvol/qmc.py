@@ -15,6 +15,7 @@ import numpy as np
 from .exactform import first_primes
 
 DEFAULT_SKIP = 409
+MAX_INDEX = 2**63 - 1  # points() takes its indices, up to skip + count, as int64
 
 
 @functools.lru_cache(maxsize=256)  # every base of a few seeds; a run keeps one seed
@@ -30,13 +31,15 @@ def permutation_for(seed: int, base: int) -> np.ndarray:
 
 
 class ScrambleSpec:
-    """Scrambling parameters; the per-base digit permutations are cached per process."""
+    """Scrambling parameters of a stream of count points; permutations are cached per process."""
 
-    def __init__(self, seed: int, skip: int = DEFAULT_SKIP):
+    def __init__(self, seed: int, skip: int = DEFAULT_SKIP, count: int = 0):
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         if skip < 0:
             raise ValueError("skip must be nonnegative")
+        if skip + count > MAX_INDEX:
+            raise ValueError(f"skip={skip} plus {count} points passes the last index 2**63 - 1")
         self.seed = int(seed)
         self.skip = int(skip)
 

@@ -31,6 +31,7 @@ _FORMS = {
     8: tuple(FactorSplit(f"factors2x2x2t{f}", (2, 2, 2), frozenset({f})) for f in range(3)),
     9: (FactorSplit("factors3x3t1", (3, 3), frozenset({1})),),
 }
+DIMENSIONS = frozenset(_FORMS)  # the m every command supports
 
 
 def factor_partial_transpose(rho: np.ndarray, dims, transposed) -> np.ndarray:

@@ -49,6 +49,18 @@ def split_euler_coords(m, eu):
     return eu[:, P:], b
 
 
+def phase_ranges(m):
+    """Native phase range per pair: pi when j == 2, else 2*pi."""
+    return np.array([np.pi if j == 2 else 2 * np.pi for _, j in param.euler_layout(m)])
+
+
+def box_volume(m):
+    """Volume of the Euler-angle coordinate box: phase ranges times (pi/2) per rotation."""
+    P = m * (m - 1) // 2
+    wide = P - (m - 1)
+    return np.pi ** (m - 1) * (2 * np.pi) ** wide * (np.pi / 2) ** P
+
+
 def eig_density_log(lam):
     # log of prod_{i<j} 4(l_i - l_j)^2 / (l_i + l_j) / sqrt(prod l)
     B, m = lam.shape
@@ -105,9 +117,9 @@ def decode_reference(pts, m):
     lam, logj = param._simplex_decode(theta)
     log_wD = eig_density_log(lam) + logj + (m - 1) * np.log(np.pi / 2)
     au, bu = split_euler_coords(m, pts[:, m - 1:])
-    a = au * param.euler_phase_ranges(m)[None, :]
+    a = au * phase_ranges(m)[None, :]
     b = bu * (np.pi / 2)
-    log_wH = haar_log_density(b, lay) + np.log(param.euler_box_volume(m))
+    log_wH = haar_log_density(b, lay) + np.log(box_volume(m))
     U = unitary_batch(a, b, m, lay)
     rho = np.einsum("bij,bj,bkj->bik", U, lam.astype(np.complex128), np.conj(U))
     degenerate = (lam < DEGENERATE_EPS).any(axis=1)

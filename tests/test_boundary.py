@@ -110,6 +110,8 @@ def test_estimate_area_validation():
     for grid in (0, 1):
         with pytest.raises(ValueError, match="grid"):
             boundary.estimate_area(4, 10, grid=grid, eval_fn=lambda p: p)
+    with pytest.raises(ValueError, match="skip"):
+        boundary.estimate_area(4, 10, skip=2**63 - 1, eval_fn=lambda p: p)
 
 
 def test_estimate_area_synthetic_surface():

@@ -284,7 +284,8 @@ def test_boundary_grid_below_2_exits_2(tmp_path, grid):
 
 
 @pytest.mark.parametrize("option, value", [("--grid", "1"), ("--m", "5"), ("--free-index", "99"),
-                                           ("--points", "0"), ("--skip", "-1")])
+                                           ("--points", "0"), ("--skip", "-1"),
+                                           ("--skip", str(2**63 - 1))])
 def test_boundary_bad_input_leaves_out_untouched(tmp_path, option, value):
     out = tmp_path / "area.csv"
     out.write_text("bases,feasible,roots,area\n512,40,41,9.5\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import is_ppt
 
-from sepvol import estimator, param, qmc, quantum
+from sepvol import estimator, exactform, param, qmc, quantum
 
 
 def test_run_config_validation():
@@ -22,6 +22,24 @@ def test_run_config_validation():
         estimator.RunConfig(4, 100, 10, seed=0, skip=-1)
     with pytest.raises(ValueError, match="seed"):
         estimator.RunConfig(4, 100, 10, seed=-1)
+    with pytest.raises(ValueError, match="skip"):
+        estimator.RunConfig(4, 100, 10, seed=0, skip=2**63 - 8)
+
+
+def _accepts(fn, m):
+    try:
+        fn(m)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("m", range(12))
+def test_one_dimension_gate(m):
+    """A run, its partial-transpose forms and its exact H_m accept the same m."""
+    gates = (lambda m: estimator.RunConfig(m, 10, 10, seed=0), quantum.forms_for,
+             exactform.truncated_haar_volume)
+    assert len({_accepts(fn, m) for fn in gates}) == 1
 
 
 def test_run_config_default_forms():

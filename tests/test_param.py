@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import decode_reference
+from oracles import decode_reference, split_euler_coords
 
 from sepvol import exactform, param, qmc
 
@@ -19,27 +19,53 @@ def test_euler_layout():
 
 
 def test_euler_phase_ranges():
-    r = param.euler_phase_ranges(4)
-    assert np.allclose(r, [np.pi, 2 * np.pi, 2 * np.pi, np.pi, 2 * np.pi, np.pi])
+    assert [p.phase for p in param.euler_pairs(4)] == [1, 2, 2, 1, 2, 1]
+    assert np.array_equal(param._plan(4).phase_range[:, 0],
+                          [np.pi, 2 * np.pi, 2 * np.pi, np.pi, 2 * np.pi, np.pi])
+
+
+def _rotation_density(pair, x):
+    if pair.kind == "sin2x":
+        return np.sin(2 * x)
+    c, s = np.cos(x), np.sin(x)
+    return 0.5 * (c * s**pair.expo if pair.kind == "cos_sin" else s * c**pair.expo)
 
 
 def test_box_volumes():
-    assert param.euler_box_volume(6) == pytest.approx(
-        np.pi**5 * (2 * np.pi) ** 10 * (np.pi / 2) ** 15)
+    """The decode's box is pi^5 (2 pi)^10 (pi/2)^15 at m = 6, and each pair's integral is exact."""
+    assert math.exp(param._plan(6).log_box) == pytest.approx(
+        np.pi**5 * (2 * np.pi) ** 10 * (np.pi / 2) ** 15, rel=1e-13)
+    nodes, wts = np.polynomial.legendre.leggauss(32)
+    x = (nodes + 1) * np.pi / 4
+    for m in (4, 6, 8, 9):
+        for pair in param.euler_pairs(m):
+            assert pair.expo == (0 if pair.j == 2 else 2 * pair.j - 3)
+            quad = np.pi / 4 * wts @ _rotation_density(pair, x)
+            assert quad == pytest.approx(float(pair.integral), rel=1e-13), pair
+
+
+def _euler_columns(m):
+    """Point columns of each pair's (phase, rotation), from the decode's plan."""
+    pts = np.arange(m * m - 1, dtype=float)[None, :]
+    rot, phase = np.split(pts.T[param._plan(m).cols], 2)
+    return phase.T, rot.T
 
 
 def test_split_euler_coords_is_a_permutation():
-    eu = np.arange(30, dtype=float)[None, :]
-    a, b = param.split_euler_coords(6, eu)
-    assert a.shape == b.shape == (1, 15)
-    assert sorted(np.concatenate([a[0], b[0]]).tolist()) == list(range(30))
-    assert np.array_equal(a[0], eu[0, 15:])
+    """The plan's columns are the oracle's per-pair (phase, rotation) split."""
+    for m in (4, 6, 8, 9):
+        P = m * (m - 1) // 2
+        a, b = _euler_columns(m)
+        assert a.shape == b.shape == (1, P)
+        assert sorted(np.concatenate([a[0], b[0]]).tolist()) == list(range(m - 1, m * m - 1))
+        assert np.array_equal(a[0], np.arange(m - 1 + P, m * m - 1))
+        ref_a, ref_b = split_euler_coords(m, np.arange(m - 1, m * m - 1, dtype=float)[None, :])
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
 
 def test_rotation_first_orders_by_coupling_width():
     """Lowest-index coords feed the widest couplings (heaviest densities)."""
-    eu = np.arange(30, dtype=float)[None, :]
-    _, b = param.split_euler_coords(6, eu)
+    _, b = _euler_columns(6)
     widths = [j for _, j in param.euler_layout(6)]
     coord_of_width = {}
     for p, j in enumerate(widths):
@@ -103,7 +129,7 @@ def test_unitary_from_angles_unitarity():
     rng = np.random.default_rng(5)
     for m in (4, 6, 8, 9):
         P = m * (m - 1) // 2
-        a = rng.uniform(0, 1, (P, 50)) * param.euler_phase_ranges(m)[:, None]
+        a = rng.uniform(0, 1, (P, 50)) * np.pi * np.array([[p.phase] for p in param.euler_pairs(m)])
         b = rng.uniform(0, np.pi / 2, (P, 50))
         W = param._unitary_batch(a, np.cos(b), np.sin(b), m, param.euler_layout(m))
         U = W.transpose(2, 1, 0)  # W[c, r, i] is entry (r, c) of unitary i
