@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -26,7 +27,7 @@ def _constants_table(m: int):
         (f"V_{m}_total", exactform.total_volume(m)),
         (f"V_{m}_sep_conjectured", exactform.conjectured_separable_volume(m)),
     ]
-    if m in (4, 6):
+    with contextlib.suppress(exactform.UnsupportedDimensionError):  # where PPT decides separability
         rows.append((f"P_{m}_conjectured", exactform.conjectured_probability(m)))
     return rows
 
@@ -54,18 +55,12 @@ def cmd_constants(args) -> int:
 class _RowWriter:
     """Streams result rows to a CSV or JSON-lines sink, one flush per row."""
 
-    def __init__(self, path: str | None, fmt: str, header: list[str], append: bool):
+    def __init__(self, path: str, fmt: str, header: list[str], append: bool):
         self.fmt = fmt
         self.header = header
-        if path in (None, "-"):
-            self.fh = sys.stdout
-            self.owns = False
-            append = False
-        else:
-            append = append and os.path.exists(path)
-            self.fh = open(path, "a" if append else "w", newline="")
-            self.owns = True
-        if fmt == "csv" and not append:
+        self.owns = path != "-"
+        self.fh = open(path, "a" if append else "w", newline="") if self.owns else sys.stdout
+        if fmt == "csv" and not (append and self.owns):
             print(",".join(header), file=self.fh, flush=True)
 
     def write(self, values: list):
@@ -81,11 +76,11 @@ class _RowWriter:
 
 
 def _estimate_header(cfg: estimator.RunConfig, deviation: bool) -> list[str]:
-    # for m > 6 the per-form columns report PPT (not separability) quantities
-    kind = "sep" if cfg.m in (4, 6) else "ppt"
+    # a form whose PPT test does not decide separability reports PPT quantities
+    kinds = [("sep" if f.decides_separability else "ppt", f.label) for f in cfg.forms]
     cols = ["n", "est_D", "est_H", "est_DH", "est_V"]
-    cols += [f"{kind}_vol_{f.label}" for f in cfg.forms]
-    cols += [f"{kind}_prob_{f.label}" for f in cfg.forms]
+    cols += [f"{kind}_vol_{label}" for kind, label in kinds]
+    cols += [f"{kind}_prob_{label}" for kind, label in kinds]
     cols += ["mean_neg", "mean_logneg", "degenerate"]
     if deviation:
         cols += ["dev_D", "dev_H", "dev_V"]
@@ -119,6 +114,8 @@ def cmd_estimate(args) -> int:
         workers=_workers(args),
     )
     resuming = bool(args.checkpoint_file) and os.path.exists(args.checkpoint_file)
+    if resuming and args.out != "-" and not os.path.exists(args.out):  # earlier rows would be lost
+        raise ValueError(f"resuming appends to --out, but {args.out} does not exist")
     writer = _RowWriter(args.out, args.format,
                         _estimate_header(cfg, args.deviation), append=resuming)
     try:

@@ -201,9 +201,10 @@ def load_checkpoint(path: str, cfg: RunConfig) -> SampleAccumulator:
 def run(cfg: RunConfig, checkpoint_path: str | None = None, on_row=None):
     """Execute the configured run; returns (rows emitted by this call, final accumulator).
 
-    With a checkpoint_path, state is persisted at every checkpoint row and an
-    existing compatible file resumes the run at its last row.  Rows are
-    emitted as soon as the block that completes them is merged.
+    A row is emitted, and with a checkpoint_path the state is saved, at every
+    multiple of checkpoint_every and at the end.  Rows are emitted as soon as
+    the block that completes them is merged.  An existing compatible
+    checkpoint file resumes the run at its last row.
     """
     acc = SampleAccumulator(len(cfg.forms))
     all_blocks = _block_ranges(cfg.points, cfg.checkpoint_every)
@@ -217,11 +218,11 @@ def run(cfg: RunConfig, checkpoint_path: str | None = None, on_row=None):
     with mp.get_context("fork").Pool(nproc) if nproc > 1 else contextlib.nullcontext() as pool:
         for part in pool.imap(_compute_block, tasks) if nproc > 1 else map(_compute_block, tasks):
             acc.merge_block(*part)
-            if acc.n % cfg.checkpoint_every == 0:
+            if acc.n % cfg.checkpoint_every == 0 or acc.n == cfg.points:
                 row = acc.checkpoint()
                 rows.append(row)
                 if on_row:
                     on_row(row)
-            if checkpoint_path and (acc.n % cfg.checkpoint_every == 0 or acc.n == cfg.points):
-                save_checkpoint(checkpoint_path, cfg, acc)
+                if checkpoint_path:
+                    save_checkpoint(checkpoint_path, cfg, acc)
     return rows, acc

@@ -7,6 +7,7 @@ value is converted to floating point only on demand.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,41 +19,36 @@ class UnsupportedDimensionError(ValueError):
     """Dimension outside the set this formula is defined for."""
 
 
-_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
-
-
 def first_primes(n: int) -> list[int]:
-    """The first n primes, smallest first."""
-    while len(_primes) < n:
-        c = _primes[-1] + 2
-        while any(c % p == 0 for p in _primes if p * p <= c):
-            c += 2
-        _primes.append(c)
-    return _primes[:n]
+    """The first n primes, smallest first: a sieve up to Rosser's bound p_n < n(ln n + ln ln n)."""
+    if n < 0:
+        raise ValueError("need a nonnegative count of primes")
+    limit = 12 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return list(itertools.compress(range(limit), sieve))[:n]
 
 
 def primorial(l: int) -> int:
     """Product of the first l primes."""
-    if l < 0:
-        raise ValueError("primorial index must be nonnegative")
     return math.prod(first_primes(l))
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division."""
+    """Prime factorization of n >= 1 by trial division by 2 and the odd d <= sqrt(n)."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    i = 0
-    while n > 1:
-        p = first_primes(i + 1)[i]
-        if p * p > n:
-            out[n] = out.get(n, 0) + 1
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        i += 1
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = 1
     return out
 
 
@@ -135,9 +131,9 @@ def total_volume(m: int) -> ExactValue:
 
 
 def conjectured_probability(m: int) -> ExactValue:
-    """Conjectured separable-volume fraction, supported for m in {4, 6}."""
-    if m not in (4, 6):
-        raise UnsupportedDimensionError(f"m={m}: conjectured probability known for [4, 6]")
+    """Conjectured separable-volume fraction, for the m where every form decides separability."""
+    if m not in quantum.DIMENSIONS or not all(f.decides_separability for f in quantum.forms_for(m)):
+        raise UnsupportedDimensionError(f"m={m}: PPT does not decide separability in every form")
     return conjectured_separable_volume(m) / total_volume(m)
 
 

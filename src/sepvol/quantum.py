@@ -23,6 +23,11 @@ class FactorSplit:
     dims: tuple[int, ...]
     transposed: frozenset[int]
 
+    @property
+    def decides_separability(self) -> bool:
+        """PPT is equivalent to separability: two factors of product <= 6 (Horodecki 1996)."""
+        return len(self.dims) == 2 and math.prod(self.dims) <= 6
+
 
 _FORMS = {
     4: (FactorSplit("block2", (2, 2), frozenset({1})),),

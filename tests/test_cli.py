@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sepvol import cli, estimator
+from sepvol import cli, estimator, exactform, quantum
 
 
 # `sepvol constants` output, byte for byte; the CSV rows end in \r\n
@@ -170,6 +170,29 @@ def test_estimate_resume_appends_nothing_when_complete(tmp_path):
     assert len(first.splitlines()) == 3  # header + 2 rows
 
 
+def test_estimate_resume_into_missing_out_exits_2(tmp_path, capsys):
+    ck = str(tmp_path / "state.ck")
+    argv = ["estimate", "--m", "4", "--points", "2000", "--checkpoint-every",
+            "1000", "--checkpoint-file", ck]
+    assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    capsys.readouterr()
+    b = tmp_path / "b.csv"
+    assert cli.main(argv + ["--out", str(b)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not b.exists()
+    assert cli.main(argv + ["--out", "-"]) == 0  # stdout stays allowed
+
+
+def test_estimate_damaged_checkpoint_into_missing_out_leaves_no_file(tmp_path):
+    ck = tmp_path / "state.ck"
+    argv = ["estimate", "--m", "4", "--points", "2000", "--checkpoint-file", str(ck)]
+    assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    ck.write_text(ck.read_text()[:120])
+    b = tmp_path / "b.csv"
+    assert cli.main(argv + ["--out", str(b)]) == 2
+    assert not b.exists()
+
+
 def test_estimate_checkpoint_mismatch_exits_2(tmp_path):
     out = str(tmp_path / "est.csv")
     ck = str(tmp_path / "state.ck")
@@ -224,6 +247,24 @@ def test_estimate_bad_config_exits_2(tmp_path):
     rc = cli.main(["estimate", "--m", "4", "--points", "10",
                    "--checkpoint-every", "100", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("m", sorted(quantum.DIMENSIONS))
+def test_one_separability_rule(tmp_path, capsys, m):
+    """The column prefix, the P_m row and conjectured_probability follow one rule:
+    PPT decides separability for the 2x2 and 2x3 splits only (Horodecki 1996)."""
+    decides = m in (4, 6)
+    out = tmp_path / "est.csv"
+    assert cli.main(["estimate", "--m", str(m), "--points", "20", "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0].split(",")
+    assert {c.split("_")[0] for c in header if "_vol_" in c} == {"sep" if decides else "ppt"}
+    assert cli.main(["constants", "--m", str(m)]) == 0
+    assert (f"P_{m}_conjectured" in capsys.readouterr().out) == decides
+    if decides:
+        assert exactform.conjectured_probability(m).to_real() > 0
+    else:
+        with pytest.raises(exactform.UnsupportedDimensionError):
+            exactform.conjectured_probability(m)
 
 
 def test_estimate_checkpoint_every_0_exits_2(capsys):

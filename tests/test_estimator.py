@@ -185,9 +185,9 @@ def test_row_identities():
 def test_checkpoint_cadence():
     cfg = estimator.RunConfig(4, 10000, 3000, seed=5)
     rows, acc = estimator.run(cfg)
-    assert [r.n for r in rows] == [3000, 6000, 9000]
+    assert [r.n for r in rows] == [3000, 6000, 9000, 10000]
     assert acc.n == 10000
-    assert acc.checkpoint().n == 10000
+    assert rows[-1] == acc.checkpoint()
 
 
 def test_worker_count_bit_identity():
@@ -197,7 +197,7 @@ def test_worker_count_bit_identity():
         cfg = estimator.RunConfig(4, 4 * 4096 + 1000, 3000, seed=21, workers=workers)
         rows, acc = estimator.run(cfg)
         runs[workers] = (rows, acc.checkpoint())
-    assert len(runs[1][0]) == 5
+    assert len(runs[1][0]) == 6
     assert runs[1] == runs[2] == runs[8]
 
 

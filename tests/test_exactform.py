@@ -13,6 +13,30 @@ def test_first_primes():
     assert xf.first_primes(0) == []
 
 
+def _trial_division_primes(n):
+    out, c = [], 2
+    while len(out) < n:
+        if all(c % p for p in out if p * p <= c):
+            out.append(c)
+        c += 1
+    return out
+
+
+def test_first_primes_matches_trial_division():
+    oracle = _trial_division_primes(2000)
+    for n in range(2001):
+        assert xf.first_primes(n) == oracle[:n]
+
+
+def test_first_primes_30000th():
+    assert xf.first_primes(30000)[-1] == 350377
+
+
+def test_first_primes_negative_count_raises():
+    with pytest.raises(ValueError):
+        xf.first_primes(-1)
+
+
 def test_primorial():
     assert xf.primorial(1) == 2
     assert xf.primorial(4) == 210
@@ -26,10 +50,12 @@ def test_primorial_ratio_is_next_prime():
 
 
 def test_factorize_roundtrip():
-    for n in (2, 12, 97, 360360, 2**10 * 3**5 * 101):
+    for n in (2, 12, 97, 360360, 2**10 * 3**5 * 101, 999999999989, 999983 * 1000003):
         f = xf.factorize(n)
         assert math.prod(p**e for p, e in f.items()) == n
         assert all(e >= 1 for e in f.values())
+    assert xf.factorize(999999999989) == {999999999989: 1}
+    assert xf.factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
 
 
 def test_exact_value_to_real():
