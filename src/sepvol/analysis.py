@@ -7,6 +7,11 @@ from dataclasses import dataclass
 
 from .exactform import factorize, first_primes
 
+# sigma_k(n), phi(n)^(k+1) and each p^(k(e+1)) for p^e | n take at most about
+# 2 * k * log2(n) bits; capping k * bit_length(n) keeps a call to about 0.5 s at most on 2 cores
+SIGMA_BITS = 1 << 20
+
+
 @dataclass
 class IsoperimetricReport:
     alpha: float           # separable volume fraction
@@ -59,9 +64,12 @@ def totient(n: int) -> int:
 
 
 def divisor_power_sum(n: int, k: int) -> int:
-    """Sum of the k-th powers of the divisors of n."""
+    """Sum of the k-th powers of the divisors of n; k * bit_length(n) is capped at SIGMA_BITS."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
+    if k * n.bit_length() > SIGMA_BITS:
+        raise ValueError(f"k={k} too large: its powers of n need about "
+                         f"{k * n.bit_length()} bits, over the {SIGMA_BITS}-bit budget")
     out = 1
     for p, e in factorize(n).items():
         if k == 0:

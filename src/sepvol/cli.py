@@ -53,21 +53,23 @@ def cmd_constants(args) -> int:
 
 
 class _RowWriter:
-    """Streams result rows to a CSV or JSON-lines sink, one flush per row."""
+    """Streams name -> value records to a CSV or JSON-lines sink, one flush per row.
+    The CSV header is the first record's names, unless appending to an existing file."""
 
-    def __init__(self, path: str, fmt: str, header: list[str], append: bool):
+    def __init__(self, path: str, fmt: str, append: bool = False):
         self.fmt = fmt
-        self.header = header
         self.owns = path != "-"
         self.fh = open(path, "a" if append else "w", newline="") if self.owns else sys.stdout
-        if fmt == "csv" and not (append and self.owns):
-            print(",".join(header), file=self.fh, flush=True)
+        self.header_due = fmt == "csv" and not (append and self.owns)
 
-    def write(self, values: list):
+    def write(self, record: dict):
         if self.fmt == "json":
-            line = json.dumps(dict(zip(self.header, values)))
+            line = json.dumps(record)
         else:
-            line = ",".join(str(v) for v in values)
+            line = ",".join(str(v) for v in record.values())
+            if self.header_due:
+                line = ",".join(record) + "\n" + line
+                self.header_due = False
         print(line, file=self.fh, flush=True)
 
     def close(self):
@@ -75,33 +77,21 @@ class _RowWriter:
             self.fh.close()
 
 
-def _estimate_header(cfg: estimator.RunConfig, deviation: bool) -> list[str]:
-    # a form whose PPT test does not decide separability reports PPT quantities
-    kinds = [("sep" if f.decides_separability else "ppt", f.label) for f in cfg.forms]
-    cols = ["n", "est_D", "est_H", "est_DH", "est_V"]
-    cols += [f"{kind}_vol_{label}" for kind, label in kinds]
-    cols += [f"{kind}_prob_{label}" for kind, label in kinds]
-    cols += ["mean_neg", "mean_logneg", "degenerate"]
+def _estimate_row(row: estimator.CheckpointRow, cfg: estimator.RunConfig, deviation: bool) -> dict:
+    """One estimate row as column name -> value, in output order."""
+    rec = dict(n=row.n, est_D=row.est_D, est_H=row.est_H, est_DH=row.est_DH, est_V=row.est_V)
+    for stat, values in (("vol", row.est_V_sep), ("prob", row.est_P)):
+        for form, value in zip(cfg.forms, values, strict=True):
+            # a form whose PPT test does not decide separability reports PPT quantities
+            kind = "sep" if form.decides_separability else "ppt"
+            rec[f"{kind}_{stat}_{form.label}"] = value
+    rec.update(mean_neg=row.mean_neg, mean_logneg=row.mean_logneg, degenerate=row.degenerate)
     if deviation:
-        cols += ["dev_D", "dev_H", "dev_V"]
-    return cols
-
-
-def _row_values(row: estimator.CheckpointRow, m: int, deviation: bool) -> list:
-    vals = [row.n, row.est_D, row.est_H, row.est_DH, row.est_V]
-    vals += list(row.est_V_sep) + list(row.est_P)
-    vals += [row.mean_neg, row.mean_logneg, row.degenerate]
-    if deviation:
-        vals += [row.est_D / exactform.diagonal_volume(m).to_real() - 1.0,
-                 row.est_H / exactform.truncated_haar_volume(m).to_real() - 1.0,
-                 row.est_V / exactform.total_volume(m).to_real() - 1.0]
-    return vals
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    return int(os.environ.get("SEPVOL_WORKERS", "1"))
+        for name, est, exact in (("D", row.est_D, exactform.diagonal_volume),
+                                 ("H", row.est_H, exactform.truncated_haar_volume),
+                                 ("V", row.est_V, exactform.total_volume)):
+            rec[f"dev_{name}"] = est / exact(cfg.m).to_real() - 1.0
+    return rec
 
 
 def cmd_estimate(args) -> int:
@@ -111,16 +101,15 @@ def cmd_estimate(args) -> int:
         checkpoint_every=args.points if args.checkpoint_every is None else args.checkpoint_every,
         seed=args.seed,
         skip=args.skip,
-        workers=_workers(args),
+        workers=args.workers,
     )
     resuming = bool(args.checkpoint_file) and os.path.exists(args.checkpoint_file)
     if resuming and args.out != "-" and not os.path.exists(args.out):  # earlier rows would be lost
         raise ValueError(f"resuming appends to --out, but {args.out} does not exist")
-    writer = _RowWriter(args.out, args.format,
-                        _estimate_header(cfg, args.deviation), append=resuming)
+    writer = _RowWriter(args.out, args.format, append=resuming)
     try:
         estimator.run(cfg, checkpoint_path=args.checkpoint_file,
-                      on_row=lambda row: writer.write(_row_values(row, cfg.m, args.deviation)))
+                      on_row=lambda row: writer.write(_estimate_row(row, cfg, args.deviation)))
     finally:
         writer.close()
     return EXIT_OK
@@ -133,9 +122,8 @@ def cmd_boundary(args) -> int:
     def write(row: boundary.AreaRow):
         nonlocal writer
         if writer is None:
-            header = [f.name for f in dataclasses.fields(row)]
-            writer = _RowWriter(args.out, args.format, header, append=False)
-        writer.write(list(dataclasses.astuple(row)))
+            writer = _RowWriter(args.out, args.format)
+        writer.write(dataclasses.asdict(row))
 
     try:
         boundary.estimate_area(
@@ -224,8 +212,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="row cadence (default: a single final row)")
     p.add_argument("--seed", type=int, default=estimator.DEFAULT_SEED)
     p.add_argument("--skip", type=int, default=qmc.DEFAULT_SKIP)
-    p.add_argument("--workers", type=int, default=None,
-                   help="default: $SEPVOL_WORKERS or 1")
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="-")
     p.add_argument("--checkpoint-file", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -70,5 +70,4 @@ def forms_for(m: int) -> tuple[FactorSplit, ...]:
 def negativity(rho: np.ndarray, form: FactorSplit) -> float | np.ndarray:
     """Absolute sum of the negative partial-transpose eigenvalues."""
     ev = np.linalg.eigvalsh(partial_transpose(rho, form))
-    neg = np.where(ev < -PPT_EPS, -ev, 0.0).sum(axis=-1)
-    return float(neg) if neg.ndim == 0 else neg
+    return np.where(ev < -PPT_EPS, -ev, 0.0).sum(axis=-1)

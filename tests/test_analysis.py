@@ -76,6 +76,15 @@ def test_divisor_power_sum():
     assert analysis.divisor_power_sum(7, 3) == 1 + 343
 
 
+def test_divisor_power_sum_rejects_exponent_over_bit_budget():
+    """k * bit_length(n) above SIGMA_BITS raises before any power is taken."""
+    k = analysis.SIGMA_BITS // 2 + 1  # 2 has bit length 2
+    for fn in (analysis.divisor_power_sum, analysis.labos_check):
+        with pytest.raises(ValueError, match=f"k={k}"):
+            fn(2, k)
+    assert analysis.labos_check(2, 65537)  # 2 * 65537 bits stays allowed
+
+
 def test_divisor_power_sum_multiplicative():
     for k in (0, 1, 2):
         assert analysis.divisor_power_sum(8 * 9, k) == \

@@ -149,6 +149,40 @@ def test_estimate_deviation_columns(tmp_path):
                                                 abs=1e-9)
 
 
+def _expected_columns(row: estimator.CheckpointRow, m: int) -> dict:
+    # built from the in-process row, the forms table and the exact constants
+    exp = {"n": row.n, "est_D": row.est_D, "est_H": row.est_H, "est_DH": row.est_DH,
+           "est_V": row.est_V, "mean_neg": row.mean_neg, "mean_logneg": row.mean_logneg,
+           "degenerate": row.degenerate,
+           "dev_D": row.est_D / exactform.diagonal_volume(m).to_real() - 1.0,
+           "dev_H": row.est_H / exactform.truncated_haar_volume(m).to_real() - 1.0,
+           "dev_V": row.est_V / exactform.total_volume(m).to_real() - 1.0}
+    for i, form in enumerate(quantum.forms_for(m)):
+        kind = "sep" if form.decides_separability else "ppt"
+        exp[f"{kind}_vol_{form.label}"] = row.est_V_sep[i]
+        exp[f"{kind}_prob_{form.label}"] = row.est_P[i]
+    return exp
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("m", [6, 8])
+def test_estimate_every_column_carries_its_own_value(tmp_path, m, fmt):
+    out = tmp_path / "est.out"
+    assert cli.main(["estimate", "--m", str(m), "--points", "3000", "--checkpoint-every",
+                     "1500", "--deviation", "--format", fmt, "--out", str(out)]) == 0
+    got = _read_csv(out) if fmt == "csv" else [json.loads(l) for l in out.read_text().splitlines()]
+    rows, _ = estimator.run(estimator.RunConfig(m, 3000, 1500, estimator.DEFAULT_SEED))
+    assert len(got) == len(rows) == 2
+    for cells, row in zip(got, rows):
+        exp = _expected_columns(row, m)
+        assert set(cells) == set(exp)  # the column order is pinned by ESTIMATE_HEADERS
+        # the per-form values differ, so a column swap cannot go unseen
+        per_form = [v for k, v in exp.items() if "_vol_" in k or "_prob_" in k]
+        assert len(set(per_form)) == len(per_form)
+        for name, value in exp.items():
+            assert float(cells[name]) == value, name
+
+
 def test_estimate_m9_reports_ppt_columns(tmp_path):
     out = str(tmp_path / "est.csv")
     assert cli.main(["estimate", "--m", "9", "--points", "200", "--out", out]) == 0
@@ -235,12 +269,13 @@ def test_estimate_format_1_checkpoint_exits_2(tmp_path, capsys):
     assert "unrecognized checkpoint format" in capsys.readouterr().err
 
 
-def test_estimate_worker_env(tmp_path, monkeypatch):
-    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    assert cli.main(["estimate", "--m", "4", "--points", "8192", "--out", a]) == 0
-    monkeypatch.setenv("SEPVOL_WORKERS", "2")
-    assert cli.main(["estimate", "--m", "4", "--points", "8192", "--out", b]) == 0
-    assert open(a).read() == open(b).read()
+def test_estimate_workers_2_byte_identical(tmp_path):
+    argv = ["estimate", "--m", "4", "--points", "8192", "--checkpoint-every", "4096",
+            "--deviation"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(argv + ["--out", str(a)]) == 0
+    assert cli.main(argv + ["--workers", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_estimate_bad_config_exits_2(tmp_path):
@@ -387,6 +422,11 @@ def test_ntheory_json(capsys):
     assert cli.main(["ntheory", "labos", "2310", "4", "--format", "json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep == {"op": "labos", "args": ["2310", "4"], "value": True}
+
+
+def test_ntheory_exponent_over_bit_budget_exits_2(capsys):
+    assert cli.main(["ntheory", "labos", "2", "524289"]) == 2
+    assert "k=524289" in capsys.readouterr().err
 
 
 def test_ntheory_arity_error_exits_2(capsys):
