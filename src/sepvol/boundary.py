@@ -53,23 +53,13 @@ def _det_eval(m: int):
     return ev
 
 
-def _insert(base: np.ndarray, t: np.ndarray, free: int) -> np.ndarray:
-    # base (B, d-1) + t (B,) -> (B, d) with t spliced in at the free index
-    B, dm1 = base.shape
-    out = np.empty((B, dm1 + 1))
-    out[:, :free] = base[:, :free]
-    out[:, free] = t
-    out[:, free + 1:] = base[:, free:]
-    return out
-
-
 def _bisect(eval_fn, base: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             f_lo: np.ndarray, free: int) -> np.ndarray:
     """Vectorized bisection to interval width <= EPS_T per row."""
     sign_lo = np.sign(f_lo)
     for _ in range(_BISECT_MAX):
         mid = 0.5 * (lo + hi)
-        f_mid, _ = eval_fn(_insert(base, mid, free))
+        f_mid, _ = eval_fn(np.insert(base, free, mid, axis=1))
         go_lo = np.sign(f_mid) == sign_lo
         lo = np.where(go_lo, mid, lo)
         hi = np.where(go_lo, hi, mid)  # f_mid == 0 lands here and pins the root
@@ -85,7 +75,7 @@ def _scan_chunk(eval_fn, bases: np.ndarray, grid: int, free: int):
     """
     nb = bases.shape[0]
     tg = np.linspace(0.0, 1.0, grid)
-    f, _ = eval_fn(_insert(np.repeat(bases, grid, axis=0), np.tile(tg, nb), free))
+    f, _ = eval_fn(np.insert(np.repeat(bases, grid, axis=0), free, np.tile(tg, nb), axis=1))
     f = f.reshape(nb, grid)
     finite = np.isfinite(f)
     sgn = np.where(finite, np.sign(f), 0.0)
@@ -102,7 +92,7 @@ def _scan_chunk(eval_fn, bases: np.ndarray, grid: int, free: int):
 def _root_weight(eval_fn, base: np.ndarray, t: float, free: int) -> float:
     """Co-area weight w * ||grad f|| / |df/dt| at one root; 0 flags a grazing crossing."""
     d = base.size + 1
-    x = _insert(base[None, :], np.array([t]), free)[0]
+    x = np.insert(base, free, t)
     j = np.arange(d)
     probes = np.repeat(x[None, :], 2 * d + 1, axis=0)
     probes[2 * j, j] = np.minimum(x + GRAD_STEP, 1.0 - 1e-12)

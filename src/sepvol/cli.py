@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, boundary, estimator, exactform, qmc
+from . import analysis, boundary, estimator, exactform, qmc, quantum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,21 +135,30 @@ def cmd_boundary(args) -> int:
     return EXIT_OK
 
 
-def _volumes_from_csv(path: str) -> tuple[float, float]:
+def _volumes_from_csv(path: str, d: int) -> tuple[float, float]:
+    """(est_V, separable volume) from an estimate CSV's last row, whose m must give d = m^2 - 1."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"no data rows in {path}")
     last = rows[-1]
-    vol_cols = [c for c in last if c.startswith(("sep_vol_", "ppt_vol_"))]
-    if "est_V" not in last or not vol_cols:
+    if any(c.startswith("ppt_vol_") for c in last):
+        raise ValueError(f"{path} reports PPT volumes, not separable volumes")
+    labels = [c.removeprefix("sep_vol_") for c in last if c.startswith("sep_vol_")]
+    if "est_V" not in last or not labels:
         raise ValueError(f"{path} is not an estimate CSV (missing est_V/volume columns)")
-    return float(last["est_V"]), float(last[vol_cols[0]])
+    m = next((m for m in quantum.DIMENSIONS
+              if [f.label for f in quantum.forms_for(m)] == labels), None)
+    if m is None:
+        raise ValueError(f"{path} volume columns {labels} match no supported m")
+    if d != m * m - 1:
+        raise ValueError(f"{path} holds m={m} estimates, so --d must be {m * m - 1}, not {d}")
+    return float(last["est_V"]), float(last["sep_vol_" + labels[0]])
 
 
 def cmd_iso_check(args) -> int:
     if args.csv:
-        v_total, v_sep = _volumes_from_csv(args.csv)
+        v_total, v_sep = _volumes_from_csv(args.csv, args.d)
     else:
         if args.v_total is None or args.v_sep is None:
             raise ValueError("need either --csv or both --v-total and --v-sep")
@@ -258,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"sepvol: {err}", file=sys.stderr)
         return EXIT_IO
-    except (np.linalg.LinAlgError, FloatingPointError) as err:
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as err:
         print(f"sepvol: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -2,17 +2,16 @@
 
 The point stream is cut into fixed blocks whose boundaries depend only on
 (points, checkpoint_every), never on the worker count.  Each block is reduced
-with exact summation (math.fsum) to one vector of partial sums; the vectors
-are merged into the accumulator in ascending block order through an
-elementwise compensated add.  Workers take whole blocks in index order, so
-runs with 1, 2, or 8 workers produce bit-identical rows.
+to one vector of plain float sums, added into the accumulator in ascending
+block order; every summed term is nonnegative, so plain sums stay within a
+few ulp of exact.  Workers take whole blocks in index order, so runs with 1,
+2, or 8 workers produce bit-identical rows.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import math
 import multiprocessing as mp
 import os
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 from . import param, qmc, quantum
 
 BLOCK = 4096
-CHECKPOINT_FORMAT = "sepvol-checkpoint-2"
+CHECKPOINT_FORMAT = "sepvol-checkpoint-3"
 DEFAULT_SEED = 21
 
 
@@ -84,8 +83,8 @@ class SampleAccumulator:
     """Running sums for all reported columns, merged block by block in index order.
 
     With F forms, the float vector is [w_D, w_H, w, w_sep[F], w*neg[F],
-    w*logneg[F]], held as Neumaier (sums, carry) pairs whose exact values
-    survive checkpointing; count_sep holds the separable hits per form.
+    w*logneg[F]] of plain sums (all terms are nonnegative, so they stay within
+    a few ulp); count_sep holds the separable hits per form.
     """
 
     def __init__(self, n_forms: int):
@@ -93,17 +92,13 @@ class SampleAccumulator:
         self.n = 0
         self.degenerate = 0
         self.sums = np.zeros(3 + 3 * n_forms)
-        self.carry = np.zeros(3 + 3 * n_forms)
         self.count_sep = np.zeros(n_forms, dtype=np.int64)
 
     def merge_block(self, n: int, degenerate: int, sums: np.ndarray, count_sep: np.ndarray):
         """Fold one block's partial sums in; blocks must arrive in index order."""
         self.n += n
         self.degenerate += degenerate
-        s = self.sums
-        t = s + sums
-        self.carry += np.where(np.abs(s) >= np.abs(sums), (s - t) + sums, (sums - t) + s)
-        self.sums = t
+        self.sums += sums
         self.count_sep += count_sep
 
     def checkpoint(self) -> CheckpointRow:
@@ -111,7 +106,7 @@ class SampleAccumulator:
             raise EmptyAccumulatorError("no samples accumulated")
         n = float(self.n)
         nf = self.n_forms
-        v = (self.sums + self.carry).tolist()
+        v = self.sums.tolist()
         sw = v[2]
         est_D, est_H, est_V = v[0] / n, v[1] / n, sw / n
         est_V_sep = tuple(x / n for x in v[3:3 + nf])
@@ -136,7 +131,7 @@ def _block_ranges(points: int, checkpoint_every: int) -> list[tuple[int, int]]:
 
 
 def _compute_block(task: tuple[RunConfig, int, int]) -> tuple:
-    """Exact partial sums of one block: (n, degenerate, sums vector, count_sep)."""
+    """Partial sums of one block: (n, degenerate, sums vector, count_sep)."""
     cfg, start, count = task
     spec = qmc.ScrambleSpec(cfg.seed, cfg.skip)
     pts = qmc.points(spec, cfg.m * cfg.m - 1, start, count)
@@ -148,7 +143,7 @@ def _compute_block(task: tuple[RunConfig, int, int]) -> tuple:
     ppts = [neg == 0.0 for neg in negs]
     terms = ([dec.w_D[ok], dec.w_H[ok], w] + [w * ppt for ppt in ppts]
              + [w * neg for neg in negs] + [w * np.log1p(2.0 * neg) for neg in negs])
-    sums = np.array([math.fsum(t.tolist()) for t in terms])
+    sums = np.array([t.sum() for t in terms])
     return count, int(dec.degenerate.sum()), sums, np.array([int(p.sum()) for p in ppts])
 
 
@@ -160,7 +155,6 @@ def save_checkpoint(path: str, cfg: RunConfig, acc: SampleAccumulator):
              f"n {acc.n}",
              f"degenerate {acc.degenerate}",
              "sums " + " ".join(x.hex() for x in acc.sums.tolist()),
-             "carry " + " ".join(x.hex() for x in acc.carry.tolist()),
              "count_sep " + " ".join(str(c) for c in acc.count_sep.tolist())]
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -187,14 +181,12 @@ def load_checkpoint(path: str, cfg: RunConfig) -> SampleAccumulator:
         acc.n = int(fields["n"])
         acc.degenerate = int(fields["degenerate"])
         sums = np.array([float.fromhex(x) for x in fields["sums"].split()])
-        carry = np.array([float.fromhex(x) for x in fields["carry"].split()])
         count_sep = np.array([int(x) for x in fields["count_sep"].split()], dtype=np.int64)
-        if (sums.shape, carry.shape, count_sep.shape) != (
-                acc.sums.shape, acc.carry.shape, acc.count_sep.shape):
+        if (sums.shape, count_sep.shape) != (acc.sums.shape, acc.count_sep.shape):
             raise ValueError("vector lengths do not match the forms")
     except (KeyError, ValueError) as err:
         raise ConfigMismatchError(f"damaged checkpoint {path}: {err!r}") from err
-    acc.sums, acc.carry, acc.count_sep = sums, carry, count_sep
+    acc.sums, acc.count_sep = sums, count_sep
     return acc
 
 
@@ -214,7 +206,7 @@ def run(cfg: RunConfig, checkpoint_path: str | None = None, on_row=None):
             raise ConfigMismatchError("checkpoint does not sit on a block boundary")
     tasks = [(cfg, s, c) for s, c in all_blocks if s >= acc.n]
     rows = []
-    nproc = min(cfg.workers, len(tasks))
+    nproc = min(cfg.workers, len(tasks), os.cpu_count() or 1)
     with mp.get_context("fork").Pool(nproc) if nproc > 1 else contextlib.nullcontext() as pool:
         for part in pool.imap(_compute_block, tasks) if nproc > 1 else map(_compute_block, tasks):
             acc.merge_block(*part)

@@ -6,7 +6,7 @@ in batch or by another rule.
 
 import numpy as np
 
-from sepvol import boundary, param, quantum
+from sepvol import param, quantum
 from sepvol.param import _TINY, DEGENERATE_EPS
 
 
@@ -33,7 +33,7 @@ def radical_inverse(index, base, perm=None):
 
 def root_residual(base, t, m, free_index):
     """Smallest |eigenvalue| of the partial transpose at the point (base with t spliced in)."""
-    x = boundary._insert(np.asarray(base, dtype=float)[None, :], np.array([t]), free_index)
+    x = np.insert(np.asarray(base, dtype=float), free_index, t)[None, :]
     rho = param.decode_batch(x, m).rho
     return float(np.abs(np.linalg.eigvalsh(
         quantum.partial_transpose(rho, quantum.forms_for(m)[0]))).min())

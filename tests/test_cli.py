@@ -255,7 +255,9 @@ def test_estimate_damaged_checkpoint_exits_2(tmp_path, capsys):
         assert ck in capsys.readouterr().err
 
 
-def test_estimate_format_1_checkpoint_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("old_format", ["sepvol-checkpoint-1", "sepvol-checkpoint-2"])
+def test_estimate_format_1_checkpoint_exits_2(tmp_path, capsys, old_format):
+    """Files of an earlier checkpoint format are refused, not resumed."""
     out = str(tmp_path / "est.csv")
     ck = str(tmp_path / "state.ck")
     base = ["estimate", "--m", "4", "--points", "2000", "--out", out,
@@ -264,7 +266,7 @@ def test_estimate_format_1_checkpoint_exits_2(tmp_path, capsys):
     with open(ck) as fh:
         text = fh.read()
     with open(ck, "w") as fh:
-        fh.write(text.replace("sepvol-checkpoint-2", "sepvol-checkpoint-1"))
+        fh.write(text.replace(estimator.CHECKPOINT_FORMAT, old_format))
     assert cli.main(base) == 2
     assert "unrecognized checkpoint format" in capsys.readouterr().err
 
@@ -396,6 +398,28 @@ def test_iso_check_from_csv(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["alpha"] == pytest.approx(
         float(row["sep_vol_block2"]) / float(row["est_V"]), rel=1e-12)
+
+
+def test_iso_check_csv_with_ppt_volumes_exits_2(tmp_path, capsys):
+    """At m = 8 the volume columns are PPT volumes, which are no separable volume."""
+    out = str(tmp_path / "est.csv")
+    assert cli.main(["estimate", "--m", "8", "--points", "100", "--out", out]) == 0
+    assert cli.main(["iso-check", "--d", "63", "--csv", out, "--a-sep", "1.0"]) == 2
+    assert "PPT volumes" in capsys.readouterr().err
+
+
+def test_iso_check_csv_d_must_match_its_m(tmp_path, capsys):
+    out = str(tmp_path / "est.csv")
+    assert cli.main(["estimate", "--m", "4", "--points", "100", "--out", out]) == 0
+    assert cli.main(["iso-check", "--csv", out, "--a-sep", "1.0"]) == 2  # default --d 35
+    assert "--d must be 15" in capsys.readouterr().err
+
+
+def test_iso_check_overflow_exits_4(capsys):
+    argv = ["iso-check", "--d", "2000", "--v-total", "1", "--v-sep", "0.5", "--a-sep", "1"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("sepvol: ") and "Traceback" not in err
 
 
 def test_iso_check_missing_inputs_exits_2():
