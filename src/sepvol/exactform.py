@@ -15,14 +15,20 @@ from fractions import Fraction
 from . import param, quantum
 
 
+# The sieve for n primes takes about n(ln n + ln ln n) bytes, and trial division
+# one step per odd divisor; these caps keep a call to about 1 s at most on 2 cores
+PRIME_COUNT_MAX = 1 << 19
+TRIAL_DIVISOR_MAX = 1 << 22
+
+
 class UnsupportedDimensionError(ValueError):
     """Dimension outside the set this formula is defined for."""
 
 
 def first_primes(n: int) -> list[int]:
     """The first n primes, smallest first: a sieve up to Rosser's bound p_n < n(ln n + ln ln n)."""
-    if n < 0:
-        raise ValueError("need a nonnegative count of primes")
+    if not 0 <= n <= PRIME_COUNT_MAX:
+        raise ValueError(f"need a count of primes from 0 to {PRIME_COUNT_MAX}, got {n}")
     limit = 12 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
     sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
     for p in range(2, math.isqrt(limit - 1) + 1):
@@ -37,16 +43,22 @@ def primorial(l: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division by 2 and the odd d <= sqrt(n)."""
+    """Prime factorization of n >= 1 by trial division by 2 and the odd d <= sqrt(n).
+
+    Divisors stop at TRIAL_DIVISOR_MAX; a cofactor left above its square raises ValueError.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISOR_MAX:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if n > TRIAL_DIVISOR_MAX**2:
+        raise ValueError(f"a {n.bit_length()}-bit cofactor has no divisor up to the "
+                         f"trial-division cap {TRIAL_DIVISOR_MAX}")
     if n > 1:
         out[n] = 1
     return out

@@ -35,51 +35,43 @@ def euler_layout(m: int) -> list[tuple[int, int]]:
 
 # One coupling pair's share of the Haar measure on the Euler-angle box.  phase is
 # the phase range in units of pi.  The rotation angle x in [0, pi/2] has density
-# sin 2x (kind "sin2x", j == 2), 1/2 cos x sin^expo x ("cos_sin", j == k) or
-# 1/2 sin x cos^expo x ("sin_cos"), expo = 2j - 3; integral is its exact integral.
-EulerPair = namedtuple("EulerPair", "k j phase kind expo integral")
+# scale * sin^a x * cos^b x: sin 2x when j == 2, else 1/2 sin^(2j-3) x cos x when
+# j == k and 1/2 sin x cos^(2j-3) x otherwise.  integral is its exact integral.
+EulerPair = namedtuple("EulerPair", "k j phase a b scale integral")
 
 
 def euler_pairs(m: int) -> tuple[EulerPair, ...]:
     """The Haar convention of each coupling pair, in euler_layout order."""
     out = []
     for k, j in euler_layout(m):
-        if j == 2:
-            out.append(EulerPair(k, j, 1, "sin2x", 0, Fraction(1)))
-        else:
-            expo = 2 * j - 3
-            out.append(EulerPair(k, j, 2, "cos_sin" if j == k else "sin_cos", expo,
-                                 Fraction(1, 2 * (expo + 1))))
+        phase, scale = (1, Fraction(2)) if j == 2 else (2, Fraction(1, 2))
+        a, b = (2 * j - 3, 1) if j == k else (1, 2 * j - 3)
+        # one exponent is 1, so the integral of sin^a cos^b over [0, pi/2] is 1/(a + b)
+        out.append(EulerPair(k, j, phase, a, b, scale, scale / (a + b)))
     return tuple(out)
 
 
-_Plan = namedtuple("_Plan", "layout cols phase_range narrow wide first second expo log_box pairs")
+_Plan = namedtuple("_Plan", "layout cols phase_range sin_pow cos_pow log_const pairs")
 
 
 @functools.cache
 def _plan(m: int) -> _Plan:
     """Index arrays and constants of the decode at one m, built once per m from euler_pairs.
 
-    cols: the point column of each pair's rotation, then of its phase.  Rotation
-    log density: log sin 2x on narrow pairs; logs[first] + expo * logs[second]
-    on wide ones, logs stacking log sin over log cos by pair.
+    cols: the point column of each pair's rotation, then of its phase.  sin_pow
+    and cos_pow are (P, 1) columns of the rotation densities' exponents;
+    log_const is the log of the box volume times every pair's scale.
     """
     table = euler_pairs(m)
     P = len(table)
-    kind = np.array([p.kind for p in table])
-    phase = np.array([p.phase for p in table])
-    wide = np.flatnonzero(kind != "sin2x")
-    cos_first = (kind == "cos_sin")[wide]
+    phase, sin_pow, cos_pow, scale = np.array(
+        [(p.phase, p.a, p.b, p.scale) for p in table], dtype=float).T[:, :, None]
     rot_slot = np.argsort(np.argsort([-p.j for p in table], kind="stable"))
-    n_pi = int((phase == 1).sum())
-    # box volume pi^n_pi (2 pi)^(P - n_pi) (pi/2)^P, in this float order: rows depend on its bits
-    box = np.pi ** n_pi * (2 * np.pi) ** (P - n_pi) * (np.pi / 2) ** P
     return _Plan(
         layout=[(p.k, p.j) for p in table],
         cols=m - 1 + np.concatenate([rot_slot, P + np.arange(P)]),
-        phase_range=np.pi * phase[:, None], narrow=np.flatnonzero(kind == "sin2x"), wide=wide,
-        first=wide + P * cos_first, second=wide + P * ~cos_first,
-        expo=np.array([float(p.expo) for p in table])[wide, None], log_box=np.log(box),
+        phase_range=np.pi * phase, sin_pow=sin_pow, cos_pow=cos_pow,
+        log_const=float(np.log(np.pi * phase * (np.pi / 2) * scale).sum()),
         pairs=np.triu_indices(m, 1))
 
 
@@ -103,29 +95,12 @@ def _simplex_decode(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eig_density_log(lam: np.ndarray) -> np.ndarray:
-    # log of prod_{i<j} 4(l_i - l_j)^2 / (l_i + l_j) / sqrt(prod l), added pair by pair
-    i, j = _plan(lam.shape[1]).pairs  # i < j, row by row
-    out = -0.5 * np.log(np.maximum(lam, _TINY)).sum(axis=1)
+    # log of prod_{i<j} 4(l_i - l_j)^2 / (l_i + l_j) / sqrt(prod l), summed per row
+    i, j = _plan(lam.shape[1]).pairs
+    li, lj = np.take(lam, i, axis=1), np.take(lam, j, axis=1)  # (B, pairs), C order
     with np.errstate(divide="ignore"):
-        gaps = np.log(4 * (lam.T[i] - lam.T[j]) ** 2 + _TINY)
-        sums = np.log(lam.T[i] + lam.T[j])
-    for g, s in zip(gaps, sums):
-        out += g
-        out -= s
-    return out
-
-
-def _haar_log_density(b: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray, plan) -> np.ndarray:
-    # (P, B) rotation angles -> log density, added pair by pair in layout
-    # order; each wide-phase pair contributes a further 1/2
-    logs = np.log(np.concatenate([sin_b, cos_b]) + _TINY)
-    term = np.empty_like(b)
-    term[plan.narrow] = np.log(np.sin(2 * b[plan.narrow]) + _TINY)
-    term[plan.wide] = logs[plan.first] + plan.expo * logs[plan.second]
-    lw = np.zeros(b.shape[1])
-    for t in term:
-        lw += t
-    return lw - len(plan.wide) * np.log(2.0)
+        terms = np.log(4 * (li - lj) ** 2 + _TINY) - np.log(li + lj)
+    return terms.sum(axis=1) - 0.5 * np.log(np.maximum(lam, _TINY)).sum(axis=1)
 
 
 def _unitary_batch(a: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray, m: int,
@@ -167,7 +142,9 @@ def decode_batch(pts: np.ndarray, m: int) -> DecodedBatch:
     rot, phase = np.split(pts.T[plan.cols], 2)  # (P, B) each, pairs in layout order
     b = rot * (np.pi / 2)
     cos_b, sin_b = np.cos(b), np.sin(b)
-    log_wH = _haar_log_density(b, cos_b, sin_b, plan) + plan.log_box
+    # summed per row over a contiguous (B, P) copy, so a row's bits do not depend on B
+    log_wH = plan.log_const + np.ascontiguousarray(
+        (plan.sin_pow * np.log(sin_b + _TINY) + plan.cos_pow * np.log(cos_b + _TINY)).T).sum(axis=1)
     W = _unitary_batch(phase * plan.phase_range, cos_b, sin_b, m, plan.layout)
     del rot, phase, b, cos_b, sin_b  # free first: the copy and the einsum set peak memory
     U = np.ascontiguousarray(W.transpose(2, 1, 0))

@@ -31,6 +31,25 @@ def radical_inverse(index, base, perm=None):
     return x
 
 
+def is_prime(n):
+    """Miller-Rabin on the first 12 prime bases, exact for n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        for _ in range(s):
+            if x in (1, n - 1):
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def root_residual(base, t, m, free_index):
     """Smallest |eigenvalue| of the partial transpose at the point (base with t spliced in)."""
     x = np.insert(np.asarray(base, dtype=float), free_index, t)[None, :]

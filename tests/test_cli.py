@@ -1,9 +1,11 @@
 """Command-line behaviors: output formats, resume, exit codes."""
 
 import csv
+import itertools
 import json
 
 import pytest
+from oracles import is_prime
 
 from sepvol import cli, estimator, exactform, quantum
 
@@ -255,7 +257,8 @@ def test_estimate_damaged_checkpoint_exits_2(tmp_path, capsys):
         assert ck in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old_format", ["sepvol-checkpoint-1", "sepvol-checkpoint-2"])
+@pytest.mark.parametrize("old_format", ["sepvol-checkpoint-1", "sepvol-checkpoint-2",
+                                        "sepvol-checkpoint-3"])
 def test_estimate_format_1_checkpoint_exits_2(tmp_path, capsys, old_format):
     """Files of an earlier checkpoint format are refused, not resumed."""
     out = str(tmp_path / "est.csv")
@@ -451,6 +454,20 @@ def test_ntheory_json(capsys):
 def test_ntheory_exponent_over_bit_budget_exits_2(capsys):
     assert cli.main(["ntheory", "labos", "2", "524289"]) == 2
     assert "k=524289" in capsys.readouterr().err
+
+
+def test_ntheory_over_caps_exits_2(capsys):
+    """A prime count over PRIME_COUNT_MAX, or a prime above TRIAL_DIVISOR_MAX squared, exits 2
+    instead of filling memory or dividing for hours."""
+    count = str(exactform.PRIME_COUNT_MAX + 1)
+    for argv in (["limit-term", count], ["totient", count + "#"], ["labos", count + "#", "1"]):
+        assert cli.main(["ntheory", *argv]) == 2
+        assert count in capsys.readouterr().err
+    cap = exactform.TRIAL_DIVISOR_MAX
+    prime = str(next(n for n in itertools.count(cap * cap + 1) if is_prime(n)))
+    for argv in (["totient", prime], ["sigma", prime, "1"]):
+        assert cli.main(["ntheory", *argv]) == 2
+        assert str(cap) in capsys.readouterr().err
 
 
 def test_ntheory_arity_error_exits_2(capsys):

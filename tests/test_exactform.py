@@ -1,9 +1,11 @@
 """Exact factored constants: primes, primorials, closed-form volumes."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from oracles import is_prime
 
 from sepvol import exactform as xf
 
@@ -37,6 +39,15 @@ def test_first_primes_negative_count_raises():
         xf.first_primes(-1)
 
 
+def test_first_primes_count_cap():
+    """Counts up to PRIME_COUNT_MAX are sieved; one more raises before the sieve is allocated."""
+    assert len(xf.first_primes(xf.PRIME_COUNT_MAX)) == xf.PRIME_COUNT_MAX
+    with pytest.raises(ValueError, match=str(xf.PRIME_COUNT_MAX)):
+        xf.first_primes(xf.PRIME_COUNT_MAX + 1)
+    with pytest.raises(ValueError):
+        xf.primorial(xf.PRIME_COUNT_MAX + 1)
+
+
 def test_primorial():
     assert xf.primorial(1) == 2
     assert xf.primorial(4) == 210
@@ -56,6 +67,18 @@ def test_factorize_roundtrip():
         assert all(e >= 1 for e in f.values())
     assert xf.factorize(999999999989) == {999999999989: 1}
     assert xf.factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
+
+
+def test_factorize_trial_divisor_cap():
+    """A cofactor with no divisor up to TRIAL_DIVISOR_MAX raises once it exceeds the cap squared."""
+    cap = xf.TRIAL_DIVISOR_MAX
+    q = next(n for n in range(cap, 1, -1) if is_prime(n))  # largest prime within the cap
+    assert xf.factorize(q * q) == {q: 2}
+    p = next(n for n in itertools.count(cap * cap + 1) if is_prime(n))
+    with pytest.raises(ValueError, match=str(cap)):
+        xf.factorize(p)
+    with pytest.raises(ValueError):
+        xf.factorize(6 * p)
 
 
 def test_exact_value_to_real():

@@ -24,23 +24,26 @@ def test_euler_phase_ranges():
                           [np.pi, 2 * np.pi, 2 * np.pi, np.pi, 2 * np.pi, np.pi])
 
 
-def _rotation_density(pair, x):
-    if pair.kind == "sin2x":
-        return np.sin(2 * x)
-    c, s = np.cos(x), np.sin(x)
-    return 0.5 * (c * s**pair.expo if pair.kind == "cos_sin" else s * c**pair.expo)
-
-
 def test_box_volumes():
-    """The decode's box is pi^5 (2 pi)^10 (pi/2)^15 at m = 6, and each pair's integral is exact."""
-    assert math.exp(param._plan(6).log_box) == pytest.approx(
-        np.pi**5 * (2 * np.pi) ** 10 * (np.pi / 2) ** 15, rel=1e-13)
+    """Each pair's density is scale * sin^a x * cos^b x with its exact integral; the box at m = 6.
+
+    (a, b) is (1, 1) on j = 2 pairs (sin 2x = 2 sin x cos x), (2j - 3, 1) on
+    j = k pairs and (1, 2j - 3) on the others.  The plan's log constant is the
+    box pi^5 (2 pi)^10 (pi/2)^15 times every pair's scale.
+    """
+    pairs6 = param.euler_pairs(6)
+    assert math.exp(param._plan(6).log_const) == pytest.approx(
+        np.pi**5 * (2 * np.pi) ** 10 * (np.pi / 2) ** 15 * math.prod(p.scale for p in pairs6),
+        rel=1e-13)
     nodes, wts = np.polynomial.legendre.leggauss(32)
     x = (nodes + 1) * np.pi / 4
     for m in (4, 6, 8, 9):
         for pair in param.euler_pairs(m):
-            assert pair.expo == (0 if pair.j == 2 else 2 * pair.j - 3)
-            quad = np.pi / 4 * wts @ _rotation_density(pair, x)
+            n = 2 * pair.j - 3
+            assert (pair.a, pair.b) == ((1, 1) if pair.j == 2 else (n, 1) if pair.j == pair.k
+                                        else (1, n)), pair
+            density = float(pair.scale) * np.sin(x) ** pair.a * np.cos(x) ** pair.b
+            quad = np.pi / 4 * wts @ density
             assert quad == pytest.approx(float(pair.integral), rel=1e-13), pair
 
 
@@ -199,13 +202,32 @@ def _edge_points(m, n):
 @pytest.mark.parametrize("m", [4, 6, 8, 9])
 @pytest.mark.parametrize("n", [1, 71, 4096])
 def test_decode_batch_matches_reference_bytes(m, n):
-    """The batch-last decode gives the bytes of the (B, m, m) reference, field by field."""
+    """The batch-last decode gives the bytes of the (B, m, m) reference for rho, lam, degenerate."""
     pts = _edge_points(m, n)
     new, ref = param.decode_batch(pts, m), decode_reference(pts, m)
-    for field in _DECODED_FIELDS:
+    for field in ("rho", "lam", "degenerate"):
         assert getattr(new, field).tobytes() == getattr(ref, field).tobytes(), field
     if n > 1:
         assert new.degenerate.any() and not new.degenerate.all()
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9])
+@pytest.mark.parametrize("n", [1, 71, 4096])
+def test_decode_batch_weights_match_reference(m, n):
+    """w_D, w_H and w agree with the pair-by-pair reference within 1e-12 relative.
+
+    The decode sums each row's log factors in another order than the
+    reference's loops, so the weights move in their last bits only.  At a
+    rotation angle of exactly 0 the j = 2 density is 0, and both read it at
+    the _TINY floor: the reference as sin 2x + _TINY, the decode as
+    2 (sin x + _TINY)(cos x + _TINY).  Those rows (weights of 1e-297 and
+    below here) differ by a factor 2, so weights under 1e-280 count as zero.
+    """
+    pts = _edge_points(m, n)
+    new, ref = param.decode_batch(pts, m), decode_reference(pts, m)
+    for field in ("w_D", "w_H", "w"):
+        np.testing.assert_allclose(getattr(new, field), getattr(ref, field), rtol=1e-12,
+                                   atol=1e-280, err_msg=field)
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 9])
