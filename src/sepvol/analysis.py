@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactform import factorize, first_primes
+from .exactform import factorize, first_primes, product
 
 # sigma_k(n), phi(n)^(k+1) and each p^(k(e+1)) for p^e | n take at most about
 # 2 * k * log2(n) bits; capping k * bit_length(n) keeps a call to about 0.5 s at most on 2 cores
@@ -57,10 +57,7 @@ def totient(n: int) -> int:
     """Euler's totient, via exact factorization."""
     if n < 1:
         raise ValueError("totient expects n >= 1")
-    out = n
-    for p in factorize(n):
-        out = out // p * (p - 1)
-    return out
+    return product([(p - 1) * p ** (e - 1) for p, e in factorize(n).items()])
 
 
 def divisor_power_sum(n: int, k: int) -> int:

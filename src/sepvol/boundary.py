@@ -29,6 +29,7 @@ EPS_T = 1e-13       # bisection interval width
 EPS_DT = 1e-3
 GRAD_STEP = 1e-5
 DEFAULT_GRID = 64
+GRID_MAX = 1024     # a chunk's scan is CHUNK * grid rows: 524,288 at the cap
 DEFAULT_FREE_INDEX = 0
 CHUNK = 512         # base points scanned per batch of eval_fn calls
 _BISECT_MAX = 50
@@ -118,8 +119,8 @@ def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int 
     """
     if base_points < 1:
         raise ValueError("base_points must be >= 1")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    if not 2 <= grid <= GRID_MAX:
+        raise ValueError(f"grid must be from 2 to {GRID_MAX}, got {grid}")
     d = m * m - 1
     free = free_index
     if not 0 <= free < d:

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import param, quantum
 
 
-# The sieve for n primes takes about n(ln n + ln ln n) bytes, and trial division
-# one step per odd divisor; these caps keep a call to about 1 s at most on 2 cores
+# The sieve for n primes takes about n(ln n + ln ln n) bytes, and factorize sieves
+# its divisors up to TRIAL_DIVISOR_MAX; these caps keep a sieve to about 1 s at most on 2 cores
 PRIME_COUNT_MAX = 1 << 19
 TRIAL_DIVISOR_MAX = 1 << 22
 
@@ -25,37 +26,73 @@ class UnsupportedDimensionError(ValueError):
     """Dimension outside the set this formula is defined for."""
 
 
+def _primes_below(limit: int) -> list[int]:
+    """The primes under limit, by a sieve of limit bytes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return list(itertools.compress(range(limit), sieve))
+
+
 def first_primes(n: int) -> list[int]:
     """The first n primes, smallest first: a sieve up to Rosser's bound p_n < n(ln n + ln ln n)."""
     if not 0 <= n <= PRIME_COUNT_MAX:
         raise ValueError(f"need a count of primes from 0 to {PRIME_COUNT_MAX}, got {n}")
     limit = 12 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
-    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
-    for p in range(2, math.isqrt(limit - 1) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
-    return list(itertools.compress(range(limit), sieve))[:n]
+    return _primes_below(limit)[:n]
+
+
+def product(factors: list[int]) -> int:
+    """Product of integers by a balanced tree, so that big operands meet only near the root."""
+    if len(factors) <= 8:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return product(factors[:half]) * product(factors[half:])
 
 
 def primorial(l: int) -> int:
     """Product of the first l primes."""
-    return math.prod(first_primes(l))
+    return product(first_primes(l))
+
+
+_GCD_BLOCK = 256  # sieved primes tested by one gcd in factorize
+
+
+def _prime_blocks(limit: int) -> Iterator[list[int]]:
+    """The primes up to limit, smallest first, _GCD_BLOCK at a time.
+
+    The sieve grows 16-fold at a time, so a caller that stops early has sieved
+    little past the last prime it read.
+    """
+    seen, bound = 0, 1 << 12
+    while True:
+        primes = _primes_below(min(bound, limit + 1))
+        for s in range(seen, len(primes), _GCD_BLOCK):
+            yield primes[s:s + _GCD_BLOCK]
+        if bound > limit:
+            return
+        seen, bound = len(primes), bound * 16
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division by 2 and the odd d <= sqrt(n).
+    """Prime factorization of n >= 1 by the primes up to sqrt(n), a block of them per gcd.
 
     Divisors stop at TRIAL_DIVISOR_MAX; a cofactor left above its square raises ValueError.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n and d <= TRIAL_DIVISOR_MAX:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
+    for block in _prime_blocks(min(TRIAL_DIVISOR_MAX, math.isqrt(n))):
+        if block[0] * block[0] > n:
+            break
+        g = math.gcd(n, product(block))
+        while g > 1:  # g is the product of the block's primes that still divide n
+            n //= g
+            for p in block:
+                if g % p == 0:
+                    out[p] = out.get(p, 0) + 1
+            g = math.gcd(n, g)
     if n > TRIAL_DIVISOR_MAX**2:
         raise ValueError(f"a {n.bit_length()}-bit cofactor has no divisor up to the "
                          f"trial-division cap {TRIAL_DIVISOR_MAX}")

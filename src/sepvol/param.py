@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 DEGENERATE_EPS = 1e-14
+SLICE = 4096  # rows decoded at a time; rows do not depend on it
 _TINY = 1e-300  # keeps log() finite at coordinate-box corners
 
 
@@ -109,9 +110,9 @@ def _unitary_batch(a: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray, m: int,
     ph = np.exp(1j * a)
     W = np.zeros((m, m, a.shape[1]), dtype=np.complex128)
     W[np.arange(m), np.arange(m)] = 1.0
-    for (_, j), e, e_conj, c, s in zip(layout, ph, np.conj(ph), cos_b, sin_b):
+    for (_, j), e, c, s in zip(layout, ph, cos_b, sin_b):
         W[m - 1] *= e
-        W[m - 2] *= e_conj
+        W[m - 2] *= e.conj()
         piv = c * W[m - 1] - s * W[m - j]
         W[m - j] = s * W[m - 1] + c * W[m - j]
         W[m - 1] = piv
@@ -131,28 +132,46 @@ class DecodedBatch:
 
 
 def decode_batch(pts: np.ndarray, m: int) -> DecodedBatch:
-    """Decode unit-cube points (B, m^2-1) into weighted density matrices."""
+    """Decode unit-cube points (B, m^2-1) into weighted density matrices.
+
+    The outputs are allocated once and filled SLICE rows at a time, so every
+    temporary is bounded by one slice whatever B is.
+    """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != m * m - 1:
         raise ValueError(f"expected (B, {m * m - 1}) points for m={m}")
+    B = pts.shape[0]
+    out = DecodedBatch(np.empty((B, m, m), dtype=np.complex128), np.empty((B, m)),
+                       np.empty(B), np.empty(B), np.empty(B), np.empty(B, dtype=bool))
+    for s in range(0, B, SLICE):
+        rows = slice(s, s + SLICE)
+        _decode_rows(pts[rows], m, out, rows)
+    np.multiply(out.w_D, out.w_H, out=out.w)
+    return out
+
+
+def _decode_rows(pts: np.ndarray, m: int, out: DecodedBatch, rows: slice) -> None:
+    # one slice of decode_batch: fills those rows of every field of out but w
     plan = _plan(m)
     theta = pts[:, : m - 1] * (np.pi / 2)
     lam, logj = _simplex_decode(theta)
     log_wD = _eig_density_log(lam) + logj + (m - 1) * np.log(np.pi / 2)
-    rot, phase = np.split(pts.T[plan.cols], 2)  # (P, B) each, pairs in layout order
+    rot, phase = np.split(pts.T[plan.cols], 2)  # (P, rows) each, pairs in layout order
     b = rot * (np.pi / 2)
     cos_b, sin_b = np.cos(b), np.sin(b)
-    # summed per row over a contiguous (B, P) copy, so a row's bits do not depend on B
+    a = phase * plan.phase_range
+    del rot, phase, b  # free first: the unitary build and the einsum set peak memory
+    # summed per row over a contiguous (rows, P) copy, so a row's bits do not depend on B
     log_wH = plan.log_const + np.ascontiguousarray(
         (plan.sin_pow * np.log(sin_b + _TINY) + plan.cos_pow * np.log(cos_b + _TINY)).T).sum(axis=1)
-    W = _unitary_batch(phase * plan.phase_range, cos_b, sin_b, m, plan.layout)
-    del rot, phase, b, cos_b, sin_b  # free first: the copy and the einsum set peak memory
+    W = _unitary_batch(a, cos_b, sin_b, m, plan.layout)
+    del a, cos_b, sin_b
     U = np.ascontiguousarray(W.transpose(2, 1, 0))
     del W
-    rho = np.einsum("bij,bj,bkj->bik", U, lam.astype(np.complex128), np.conj(U))
+    np.einsum("bij,bj,bkj->bik", U, lam.astype(np.complex128), np.conj(U), out=out.rho[rows])
     degenerate = (lam < DEGENERATE_EPS).any(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         w_D = np.exp(log_wD)
         w_H = np.exp(log_wH)
     w_D[degenerate] = 0.0
-    return DecodedBatch(rho, lam, w_D, w_H, w_D * w_H, degenerate)
+    out.lam[rows], out.w_D[rows], out.w_H[rows], out.degenerate[rows] = lam, w_D, w_H, degenerate

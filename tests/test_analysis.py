@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sepvol import analysis
-from sepvol.exactform import primorial
+from sepvol.exactform import factorize, primorial
 
 
 def test_unit_ball_volume_values():
@@ -111,3 +111,26 @@ def test_primorial_limit_term():
     with pytest.raises(ValueError):
         analysis.primorial_limit_term(0)
 
+
+def _trial_division(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("n", [primorial(3000), 2**10 * 3**5 * 999983, 999983 * 1000003, 12, 1],
+                         ids=["3000#", "2^10*3^5*999983", "999983*1000003", "12", "1"])
+def test_factorize_and_totient_match_trial_division(n):
+    """The blockwise gcd factorization and the product-tree totient agree with plain trial division."""
+    oracle = _trial_division(n)
+    assert factorize(n) == oracle
+    phi = n
+    for p in oracle:
+        phi = phi // p * (p - 1)
+    assert analysis.totient(n) == phi

@@ -107,7 +107,7 @@ def test_estimate_area_validation():
         boundary.estimate_area(6, 0)
     with pytest.raises(ValueError):
         boundary.estimate_area(6, 10, free_index=35)
-    for grid in (0, 1):
+    for grid in (0, 1, boundary.GRID_MAX + 1):
         with pytest.raises(ValueError, match="grid"):
             boundary.estimate_area(4, 10, grid=grid, eval_fn=lambda p: p)
     with pytest.raises(ValueError, match="skip"):

@@ -7,7 +7,7 @@ import json
 import pytest
 from oracles import is_prime
 
-from sepvol import cli, estimator, exactform, quantum
+from sepvol import boundary, cli, estimator, exactform, quantum
 
 
 # `sepvol constants` output, byte for byte; the CSV rows end in \r\n
@@ -364,9 +364,16 @@ def test_boundary_grid_below_2_exits_2(tmp_path, grid):
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
-@pytest.mark.parametrize("option, value", [("--grid", "1"), ("--m", "5"), ("--free-index", "99"),
-                                           ("--points", "0"), ("--skip", "-1"),
-                                           ("--skip", str(2**63 - 1))])
+def test_boundary_grid_at_cap_exits_0(tmp_path):
+    out = tmp_path / "area.csv"
+    assert cli.main(["boundary", "--m", "4", "--points", "1", "--grid", str(boundary.GRID_MAX),
+                     "--out", str(out)]) == 0
+    assert out.read_text().startswith("bases,feasible,roots,area\n1,")
+
+
+@pytest.mark.parametrize("option, value", [("--grid", "1"), ("--grid", "1025"), ("--m", "5"),
+                                           ("--free-index", "99"), ("--points", "0"),
+                                           ("--skip", "-1"), ("--skip", str(2**63 - 1))])
 def test_boundary_bad_input_leaves_out_untouched(tmp_path, option, value):
     out = tmp_path / "area.csv"
     out.write_text("bases,feasible,roots,area\n512,40,41,9.5\n")

@@ -1,6 +1,7 @@
 """Unit-cube decoding: simplex map, Euler-angle unitaries, SD weights."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,14 +233,40 @@ def test_decode_batch_weights_match_reference(m, n):
 
 @pytest.mark.parametrize("m", [4, 6, 8, 9])
 def test_decode_batch_does_not_depend_on_batch_size(m):
-    """4096 points decoded at once give the bytes of the same points decoded in slices."""
-    pts = _edge_points(m, 4096)
-    whole = param.decode_batch(pts, m)
-    for size in (1, 71, 900):
-        parts = [param.decode_batch(pts[s:s + size], m) for s in range(0, 4096, size)]
-        for field in _DECODED_FIELDS:
-            joined = np.concatenate([getattr(p, field) for p in parts])
-            assert joined.tobytes() == getattr(whole, field).tobytes(), (size, field)
+    """Points decoded at once give the bytes of the same points decoded in slices.
+
+    At m = 6 and 9, 10,240 points (two and a half 4096-row decode slices) are
+    also cut at 71, 4096 and 4097 rows, across the slice edges.
+    """
+    cases = [(4096, (1, 71, 900))] + [(10240, (71, 4096, 4097))] * (m in (6, 9))
+    for n, sizes in cases:
+        pts = _edge_points(m, n)
+        whole = param.decode_batch(pts, m)
+        for size in sizes:
+            parts = [param.decode_batch(pts[s:s + size], m) for s in range(0, n, size)]
+            for field in _DECODED_FIELDS:
+                joined = np.concatenate([getattr(p, field) for p in parts])
+                assert joined.tobytes() == getattr(whole, field).tobytes(), (n, size, field)
+
+
+@pytest.mark.parametrize("m", [6, 9])
+def test_decode_batch_peak_memory_is_one_slice(m):
+    """At 4 x 4096 rows, the traced peak of decode_batch is at most 2.5x its output bytes.
+
+    Decoded whole, the unitaries, their conjugates and the phases of every row
+    are alive at once, about 3.4x the output; in 4096-row slices, only one
+    slice's are.
+    """
+    pts = _sample_points(m, 4 * 4096)
+    param.decode_batch(pts[:1], m)  # builds the cached plan outside the trace
+    tracemalloc.start()
+    try:
+        dec = param.decode_batch(pts, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(getattr(dec, field).nbytes for field in _DECODED_FIELDS)
+    assert peak <= 2.5 * out_bytes, peak / out_bytes
 
 
 def test_decode_batch_rejects_wrong_width():
