@@ -44,13 +44,17 @@ class AreaRow:
 
 
 def _det_eval(m: int):
-    # default evaluation hook: (points) -> (det of PT, SD weight)
+    # default evaluation hook: (points) -> (det of PT, SD weight); the partial
+    # transpose is copied one decode slice of rows at a time, not at full size
     form = quantum.forms_for(m)[0]
 
     def ev(pts: np.ndarray):
         dec = param.decode_batch(pts, m)
-        det = np.linalg.det(quantum.partial_transpose(dec.rho, form))
-        return det.real, dec.w
+        det = np.empty(len(pts))
+        for s in range(0, len(pts), param.SLICE):
+            rows = slice(s, s + param.SLICE)
+            det[rows] = np.linalg.det(quantum.partial_transpose(dec.rho[rows], form)).real
+        return det, dec.w
     return ev
 
 
@@ -76,7 +80,13 @@ def _scan_chunk(eval_fn, bases: np.ndarray, grid: int, free: int):
     """
     nb = bases.shape[0]
     tg = np.linspace(0.0, 1.0, grid)
-    f, _ = eval_fn(np.insert(np.repeat(bases, grid, axis=0), free, np.tile(tg, nb), axis=1))
+    # every base's grid line, built in place: the scan's points are the largest
+    # array beside rho, and a repeat-then-insert would hold a second copy of them
+    lines = np.empty((nb, grid, bases.shape[1] + 1))
+    lines[:, :, :free] = bases[:, None, :free]
+    lines[:, :, free] = tg
+    lines[:, :, free + 1:] = bases[:, None, free:]
+    f, _ = eval_fn(lines.reshape(nb * grid, -1))
     f = f.reshape(nb, grid)
     finite = np.isfinite(f)
     sgn = np.where(finite, np.sign(f), 0.0)

@@ -21,7 +21,7 @@ import numpy as np
 from . import param, qmc, quantum
 
 BLOCK = 4096
-CHECKPOINT_FORMAT = "sepvol-checkpoint-4"
+CHECKPOINT_FORMAT = "sepvol-checkpoint-5"
 DEFAULT_SEED = 21
 
 

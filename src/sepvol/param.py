@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 DEGENERATE_EPS = 1e-14
-SLICE = 4096  # rows decoded at a time; rows do not depend on it
+SLICE = 1024  # rows decoded at a time; rows do not depend on it
 _TINY = 1e-300  # keeps log() finite at coordinate-box corners
 
 
@@ -52,71 +52,102 @@ def euler_pairs(m: int) -> tuple[EulerPair, ...]:
     return tuple(out)
 
 
-_Plan = namedtuple("_Plan", "layout cols phase_range sin_pow cos_pow log_const pairs")
+_Plan = namedtuple("_Plan", "layout cols wide log_pow log_rows_D log_const_D log_const_H pairs")
 
 
 @functools.cache
 def _plan(m: int) -> _Plan:
     """Index arrays and constants of the decode at one m, built once per m from euler_pairs.
 
-    cols: the point column of each pair's rotation, then of its phase.  sin_pow
-    and cos_pow are (P, 1) columns of the rotation densities' exponents;
-    log_const is the log of the box volume times every pair's scale.
+    cols: the point column of each simplex angle, then of each pair's rotation,
+    then of its phase.  wide is a (P, 1) column, true on the pairs whose phase
+    range is 2 pi.  log_pow is the (K, 1) column of exponents of the K log
+    factors _decode_rows stacks; the first log_rows_D of them make w_D, the
+    rest w_H.  The log constants hold the box volume and every pair's scale.
     """
     table = euler_pairs(m)
-    P = len(table)
+    n, P = m - 1, len(table)
     phase, sin_pow, cos_pow, scale = np.array(
-        [(p.phase, p.a, p.b, p.scale) for p in table], dtype=float).T[:, :, None]
+        [(p.phase, p.a, p.b, p.scale) for p in table], dtype=float).T
     rot_slot = np.argsort(np.argsort([-p.j for p in table], kind="stable"))
+    # simplex: sin 2t = 2 sin t cos t, times sin^(2(m-2-i)) of angle i, then the
+    # eigenvalue density's pair factors 4 (l_i - l_j)^2 / (l_i + l_j) and 1/sqrt(prod l)
+    simplex_sin_pow = 2 * (m - 2 - np.arange(n)) + 1
+    log_pow = np.concatenate([simplex_sin_pow, np.ones(n), np.ones(P), -np.ones(P),
+                              np.full(m, -0.5), sin_pow, cos_pow])
     return _Plan(
         layout=[(p.k, p.j) for p in table],
-        cols=m - 1 + np.concatenate([rot_slot, P + np.arange(P)]),
-        phase_range=np.pi * phase, sin_pow=sin_pow, cos_pow=cos_pow,
-        log_const=float(np.log(np.pi * phase * (np.pi / 2) * scale).sum()),
+        cols=np.concatenate([np.arange(n), n + rot_slot, n + P + np.arange(P)]),
+        wide=(phase == 2)[:, None], log_pow=log_pow[:, None], log_rows_D=2 * n + 2 * P + m,
+        log_const_D=n * float(np.log(np.pi)),  # the 2 of each sin 2t, and (pi/2) per angle
+        log_const_H=float(np.log(np.pi * phase * (np.pi / 2) * scale).sum()),
         pairs=np.triu_indices(m, 1))
 
 
+def _sin_cos(v: np.ndarray) -> np.ndarray:
+    """sin and cos of v * pi/2 for v in [0, 1], stacked on a new first axis.
+
+    Both come from one np.tan call on quarter angles: with t = tan(x/2),
+    sin x = 2t / (1 + t^2).  The cosine is the sine of the complementary angle
+    (1 - v) pi/2, so neither loses relative accuracy near its zero, and cos is
+    exactly 0 at v = 1.  numpy runs tan as vector code but sin, cos and the
+    complex exp as scalar code, several times slower.
+    """
+    t = np.empty((2,) + v.shape)
+    np.multiply(v, np.pi / 4, out=t[0])
+    np.subtract(1, v, out=t[1])
+    t[1] *= np.pi / 4
+    np.tan(t, out=t)
+    den = t * t
+    den += 1
+    t *= 2
+    t /= den
+    return t
+
+
+def _simplex_lam(s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(m, B) eigenvalues of the nested squared-cosine map from its angles' (m-1, B) sines and cosines.
+
+    lam_0 = c_0^2, lam_i = c_i^2 s_0^2 .. s_(i-1)^2 and lam_(m-1) = s_0^2 .. s_(m-2)^2.
+    """
+    s2, c2 = s * s, c * c
+    prefix = np.cumprod(s2, axis=0)
+    lam = np.empty((len(s) + 1, s.shape[1]))
+    lam[0] = c2[0]
+    np.multiply(c2[1:], prefix[:-1], out=lam[1:-1])
+    lam[-1] = prefix[-1]
+    return lam
+
+
 def _simplex_decode(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # nested squared-cosine map; returns eigenvalues and log |d(lambda)/d(theta)|
-    B, n = theta.shape
-    m = n + 1
-    s2 = np.sin(theta) ** 2
-    c2 = np.cos(theta) ** 2
-    prefix = np.cumprod(s2, axis=1)
-    lam = np.empty((B, m))
-    lam[:, 0] = c2[:, 0]
-    if m > 2:
-        lam[:, 1:-1] = c2[:, 1:] * prefix[:, :-1]
-    lam[:, -1] = prefix[:, -1]
-    with np.errstate(divide="ignore"):
-        logj = np.log(np.abs(np.sin(2 * theta)) + _TINY).sum(axis=1)
-        expo = 2 * (m - 1 - np.arange(1, m - 1))
-        logj += (expo * np.log(np.sin(theta[:, : m - 2]) + _TINY)).sum(axis=1)
-    return lam, logj
+    """The decode's simplex map at (B, m-1) angles in [0, pi/2]: lam (B, m) and log |d(lambda)/d(theta)|.
+
+    The Jacobian is the product over angles of sin 2t * sin^(2(m-2-i)) t, the
+    simplex's log factors in _plan's log_pow; _decode_rows sums them with the
+    weights' other factors.
+    """
+    n = theta.shape[1]
+    s, c = _sin_cos(theta.T / (np.pi / 2))
+    logs = np.log(np.concatenate((s, c)) + _TINY)
+    logj = n * np.log(2) + (_plan(n + 1).log_pow[:2 * n] * logs).sum(axis=0)
+    return _simplex_lam(s, c).T, logj
 
 
-def _eig_density_log(lam: np.ndarray) -> np.ndarray:
-    # log of prod_{i<j} 4(l_i - l_j)^2 / (l_i + l_j) / sqrt(prod l), summed per row
-    i, j = _plan(lam.shape[1]).pairs
-    li, lj = np.take(lam, i, axis=1), np.take(lam, j, axis=1)  # (B, pairs), C order
-    with np.errstate(divide="ignore"):
-        terms = np.log(4 * (li - lj) ** 2 + _TINY) - np.log(li + lj)
-    return terms.sum(axis=1) - 0.5 * np.log(np.maximum(lam, _TINY)).sum(axis=1)
-
-
-def _unitary_batch(a: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray, m: int,
+def _unitary_batch(ph: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray, m: int,
                    layout: list[tuple[int, int]]) -> np.ndarray:
-    """(m, m, B) unitaries from (P, B) phases and rotation cos, sin; W[c] is column c."""
-    ph = np.exp(1j * a)
-    W = np.zeros((m, m, a.shape[1]), dtype=np.complex128)
+    """(m, m, B) unitaries from (P, B) unit phases and rotation cos, sin; W[c] is column c."""
+    W = np.zeros((m, m, ph.shape[1]), dtype=np.complex128)
     W[np.arange(m), np.arange(m)] = 1.0
+    col = list(W)  # the new pivot column is rebound, not copied back
     for (_, j), e, c, s in zip(layout, ph, cos_b, sin_b):
-        W[m - 1] *= e
-        W[m - 2] *= e.conj()
-        piv = c * W[m - 1] - s * W[m - j]
-        W[m - j] = s * W[m - 1] + c * W[m - j]
-        W[m - 1] = piv
-    return W
+        col[m - 1] *= e
+        col[m - 2] *= e.conj()
+        piv = c * col[m - 1]
+        piv -= s * col[m - j]
+        col[m - j] *= c
+        col[m - j] += s * col[m - 1]
+        col[m - 1] = piv
+    return np.stack(col, out=W)
 
 
 @dataclass
@@ -153,25 +184,37 @@ def decode_batch(pts: np.ndarray, m: int) -> DecodedBatch:
 def _decode_rows(pts: np.ndarray, m: int, out: DecodedBatch, rows: slice) -> None:
     # one slice of decode_batch: fills those rows of every field of out but w
     plan = _plan(m)
-    theta = pts[:, : m - 1] * (np.pi / 2)
-    lam, logj = _simplex_decode(theta)
-    log_wD = _eig_density_log(lam) + logj + (m - 1) * np.log(np.pi / 2)
-    rot, phase = np.split(pts.T[plan.cols], 2)  # (P, rows) each, pairs in layout order
-    b = rot * (np.pi / 2)
-    cos_b, sin_b = np.cos(b), np.sin(b)
-    a = phase * plan.phase_range
-    del rot, phase, b  # free first: the unitary build and the einsum set peak memory
-    # summed per row over a contiguous (rows, P) copy, so a row's bits do not depend on B
-    log_wH = plan.log_const + np.ascontiguousarray(
-        (plan.sin_pow * np.log(sin_b + _TINY) + plan.cos_pow * np.log(cos_b + _TINY)).T).sum(axis=1)
-    W = _unitary_batch(a, cos_b, sin_b, m, plan.layout)
-    del a, cos_b, sin_b
+    n, P = m - 1, len(plan.layout)
+    sc = _sin_cos(pts.T[plan.cols])  # (2, d, rows): sin and cos, columns in plan order
+    lam = _simplex_lam(sc[0, :n], sc[1, :n])
+    li, lj = lam[plan.pairs[0]], lam[plan.pairs[1]]
+    gap2 = np.square(li - lj)
+    gap2 *= 4
+    li += lj
+    # every log factor of both weights, in log_pow's order; _TINY keeps them finite at the box's edges
+    logs = np.concatenate((sc[0, :n], sc[1, :n], gap2, li, lam, sc[0, n:n + P], sc[1, n:n + P]))
+    del li, lj, gap2
+    logs += _TINY
+    np.log(logs, out=logs)
+    logs *= plan.log_pow
+    logs = logs.T.copy()  # summed per row over a C-order (rows, K) copy, so a row's bits do not depend on B
+    log_wD = logs[:, :plan.log_rows_D].sum(axis=1) + plan.log_const_D
+    log_wH = logs[:, plan.log_rows_D:].sum(axis=1) + plan.log_const_H
+    del logs
+    ph = sc[1, n + P:] + 1j * sc[0, n + P:]  # e^(i v pi/2) of each phase coordinate v
+    ph *= ph  # e^(i v pi): the phase range pi
+    np.multiply(ph, ph, out=ph, where=plan.wide)  # e^(2 i v pi) on the 2 pi ranges
+    W = _unitary_batch(ph, sc[1, n:n + P], sc[0, n:n + P], m, plan.layout)
+    del sc, ph  # free first: the unitaries and rho set peak memory
     U = np.ascontiguousarray(W.transpose(2, 1, 0))
     del W
-    np.einsum("bij,bj,bkj->bik", U, lam.astype(np.complex128), np.conj(U), out=out.rho[rows])
-    degenerate = (lam < DEGENERATE_EPS).any(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
+    Ulam = U * lam.T[:, None, :]
+    np.conj(U, out=U)
+    np.matmul(Ulam, U.transpose(0, 2, 1), out=out.rho[rows])  # rho = (U lam) U^H
+    del U, Ulam
+    degenerate = (lam < DEGENERATE_EPS).any(axis=0)
+    with np.errstate(over="ignore"):
         w_D = np.exp(log_wD)
         w_H = np.exp(log_wH)
     w_D[degenerate] = 0.0
-    out.lam[rows], out.w_D[rows], out.w_H[rows], out.degenerate[rows] = lam, w_D, w_H, degenerate
+    out.lam[rows], out.w_D[rows], out.w_H[rows], out.degenerate[rows] = lam.T, w_D, w_H, degenerate

@@ -45,17 +45,27 @@ class ScrambleSpec:
 
 
 def points(spec: ScrambleSpec, d: int, start: int, count: int) -> np.ndarray:
-    """Points start..start+count-1 of the d-dimensional sequence, shape (count, d)."""
-    idx = np.arange(start + spec.skip, start + spec.skip + count, dtype=np.int64)
+    """Points start..start+count-1 of the d-dimensional sequence, shape (count, d).
+
+    Digit k of an index is constant on each aligned run of base^k consecutive
+    indices, so its scrambled value is looked up once per run and repeated.
+    The digits are added lowest first, the same sums as digit by digit.
+    """
+    first = start + spec.skip
+    last = first + count - 1
     out = np.empty((count, d))
     for j, base in enumerate(first_primes(d)):
         perm = permutation_for(spec.seed, base)
-        x = np.zeros(count)
         scale = 1.0 / base
-        rem = idx.copy()
-        while rem.any():
-            x += perm[rem % base] * scale
-            rem //= base
+        x = perm[np.arange(first, last + 1, dtype=np.int64) % base] * scale  # digit 0
+        run = base  # base^k, a Python int: it passes int64 where last does not
+        while count and last // run:
             scale /= base
+            q0, q1 = first // run, last // run
+            reps = np.full(q1 - q0 + 1, min(run, count), dtype=np.int64)
+            reps[0] = min(last + 1, (q0 + 1) * run) - first
+            reps[-1] = last + 1 - max(first, q1 * run)
+            x += np.repeat(perm[np.arange(q0, q1 + 1, dtype=np.int64) % base] * scale, reps)
+            run *= base
         out[:, j] = x
     return out

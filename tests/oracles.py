@@ -80,6 +80,24 @@ def box_volume(m):
     return np.pi ** (m - 1) * (2 * np.pi) ** wide * (np.pi / 2) ** P
 
 
+def simplex_decode(theta):
+    """Eigenvalues of the nested squared-cosine map at (B, m-1) angles, and log |d(lambda)/d(theta)|."""
+    B, n = theta.shape
+    m = n + 1
+    s2 = np.sin(theta) ** 2
+    c2 = np.cos(theta) ** 2
+    prefix = np.cumprod(s2, axis=1)
+    lam = np.empty((B, m))
+    lam[:, 0] = c2[:, 0]
+    lam[:, 1:-1] = c2[:, 1:] * prefix[:, :-1]
+    lam[:, -1] = prefix[:, -1]
+    with np.errstate(divide="ignore"):
+        logj = np.log(np.abs(np.sin(2 * theta)) + _TINY).sum(axis=1)
+        expo = 2 * (m - 1 - np.arange(1, m - 1))
+        logj += (expo * np.log(np.sin(theta[:, : m - 2]) + _TINY)).sum(axis=1)
+    return lam, logj
+
+
 def eig_density_log(lam):
     # log of prod_{i<j} 4(l_i - l_j)^2 / (l_i + l_j) / sqrt(prod l)
     B, m = lam.shape
@@ -129,11 +147,11 @@ def unitary_batch(a, b, m, layout):
 
 
 def decode_reference(pts, m):
-    """param.decode_batch in the (B, m, m) layout, with a log per pair and point."""
+    """param.decode_batch in the (B, m, m) layout, with np.sin, np.cos, np.exp and a log per pair and point."""
     pts = np.asarray(pts, dtype=float)
     lay = param.euler_layout(m)
     theta = pts[:, : m - 1] * (np.pi / 2)
-    lam, logj = param._simplex_decode(theta)
+    lam, logj = simplex_decode(theta)
     log_wD = eig_density_log(lam) + logj + (m - 1) * np.log(np.pi / 2)
     au, bu = split_euler_coords(m, pts[:, m - 1:])
     a = au * phase_ranges(m)[None, :]

@@ -1,10 +1,12 @@
 """Boundary-area estimation: bracketing, refinement, co-area weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import root_residual
 
-from sepvol import boundary
+from sepvol import boundary, qmc
 
 
 def _flat_eval(surface, weight=1.0, free=3):
@@ -100,6 +102,25 @@ def test_real_roots_have_small_residual():
         ts = [t for t, _ in roots]
         assert ts == sorted(ts)
     assert found > 0
+
+
+def test_det_eval_peak_memory_is_one_slice_beside_rho():
+    """A 32,768-row m = 6 call of the default evaluator peaks under 1.5x its rho's bytes.
+
+    That is the m = 6 scan's call at the default chunk and grid.  A partial
+    transpose copied at full size would add another rho, about 2.2x in all.
+    """
+    ev = boundary._det_eval(6)
+    pts = qmc.points(qmc.ScrambleSpec(0), 35, 0, 32768)
+    ev(pts[:1])  # builds the decode's cached plan outside the trace
+    tracemalloc.start()
+    try:
+        ev(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rho_bytes = 32768 * 6 * 6 * 16
+    assert peak <= 1.5 * rho_bytes, peak / rho_bytes
 
 
 def test_estimate_area_validation():

@@ -3,11 +3,13 @@
 import csv
 import itertools
 import json
+import sys
+import time
 
 import pytest
 from oracles import is_prime
 
-from sepvol import boundary, cli, estimator, exactform, quantum
+from sepvol import analysis, boundary, cli, estimator, exactform, quantum
 
 
 # `sepvol constants` output, byte for byte; the CSV rows end in \r\n
@@ -258,7 +260,7 @@ def test_estimate_damaged_checkpoint_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old_format", ["sepvol-checkpoint-1", "sepvol-checkpoint-2",
-                                        "sepvol-checkpoint-3"])
+                                        "sepvol-checkpoint-3", "sepvol-checkpoint-4"])
 def test_estimate_format_1_checkpoint_exits_2(tmp_path, capsys, old_format):
     """Files of an earlier checkpoint format are refused, not resumed."""
     out = str(tmp_path / "est.csv")
@@ -475,6 +477,33 @@ def test_ntheory_over_caps_exits_2(capsys):
     for argv in (["totient", prime], ["sigma", prime, "1"]):
         assert cli.main(["ntheory", *argv]) == 2
         assert str(cap) in capsys.readouterr().err
+
+
+def test_ntheory_prints_past_4300_digits(capsys):
+    """totient(3000#) has 11,828 digits, past Python's default limit on int-to-str conversion."""
+    want = analysis.totient(exactform.primorial(3000))
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(["ntheory", "totient", "3000#"]) == 0
+    text = capsys.readouterr().out
+    assert cli.main(["ntheory", "totient", "3000#", "--format", "json"]) == 0
+    line = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit  # lifted for the one conversion only
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text == f"{want}\n"
+        assert json.loads(line)["value"] == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ntheory_result_over_digit_cap_exits_2_fast(capsys, fmt):
+    """sigma_30000(8#) has about 209,600 digits: over the cap, it exits 2 without converting."""
+    t0 = time.perf_counter()
+    assert cli.main(["ntheory", "sigma", "8#", "30000", "--format", fmt]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{cli.NTHEORY_DIGITS_MAX}-digit cap" in captured.err
 
 
 def test_ntheory_arity_error_exits_2(capsys):

@@ -234,7 +234,7 @@ def test_checkpoint_save_load_roundtrip(tmp_path):
     assert back.checkpoint() == acc.checkpoint()
     with open(path) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "format sepvol-checkpoint-4"
+    assert lines[0] == "format sepvol-checkpoint-5"
     assert [line.split(" ", 1)[0] for line in lines] == [
         "format", "config_hash", "canonical", "n", "degenerate", "sums", "count_sep"]
 

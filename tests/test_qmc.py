@@ -5,6 +5,7 @@ import pytest
 from oracles import radical_inverse
 
 from sepvol import qmc
+from sepvol.exactform import first_primes
 
 
 def test_radical_inverse_base2():
@@ -28,6 +29,22 @@ def test_points_match_radical_inverse():
         perm = qmc.permutation_for(spec.seed, base)
         for i in range(8):
             assert pts[i, j] == pytest.approx(radical_inverse(4 + i, base, perm))
+
+
+@pytest.mark.parametrize("skip, start, count", [
+    (0, 0, 0), (409, 0, 0), (0, 0, 1), (409, 17, 1),
+    (0, 1990, 1200),             # across 2^11, 3^7, 5^5, 7^4, 13^3 and 47^2
+    (2**62 - 2, 0, 4),           # across 2^62, one run far longer than the count
+    (qmc.MAX_INDEX - 40, 30, 10),  # skip + start + count at MAX_INDEX
+])
+def test_points_match_radical_inverse_bytes(skip, start, count):
+    """points() has the bytes of the digit-by-digit radical inverse, run edges included."""
+    d = 15
+    spec = qmc.ScrambleSpec(7, skip=skip, count=start + count)
+    perms = [qmc.permutation_for(7, base) for base in first_primes(d)]
+    want = np.array([[radical_inverse(skip + start + i, perm.size, perm) for perm in perms]
+                     for i in range(count)]).reshape(count, d)
+    assert qmc.points(spec, d, start, count).tobytes() == want.tobytes()
 
 
 def test_skip_offsets_the_sequence():
