@@ -16,6 +16,7 @@ both sides of it: no root is sought across it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,12 @@ EPS_T = 1e-13       # bisection interval width
 EPS_DT = 1e-3
 GRAD_STEP = 1e-5
 DEFAULT_GRID = 64
-GRID_MAX = 1024     # a chunk's scan is CHUNK * grid rows: 524,288 at the cap
+GRID_MAX = 1024
 DEFAULT_FREE_INDEX = 0
-CHUNK = 512         # base points scanned per batch of eval_fn calls
+# Rows of a chunk's scan call: a chunk is max(1, SCAN_ROWS // grid) base points,
+# so no eval_fn call is larger at any grid up to GRID_MAX.  The scan call's
+# decoded states set the boundary's peak memory.
+SCAN_ROWS = 8192
 _BISECT_MAX = 50
 
 
@@ -62,9 +66,12 @@ def _bisect(eval_fn, base: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             f_lo: np.ndarray, free: int) -> np.ndarray:
     """Vectorized bisection to interval width <= EPS_T per row."""
     sign_lo = np.sign(f_lo)
+    line = np.insert(base, free, 0.0, axis=1)
     for _ in range(_BISECT_MAX):
         mid = 0.5 * (lo + hi)
-        f_mid, _ = eval_fn(np.insert(base, free, mid, axis=1))
+        pts = line.copy()  # a fresh array per call: an eval_fn may keep the one it is given
+        pts[:, free] = mid
+        f_mid, _ = eval_fn(pts)
         go_lo = np.sign(f_mid) == sign_lo
         lo = np.where(go_lo, mid, lo)
         hi = np.where(go_lo, hi, mid)  # f_mid == 0 lands here and pins the root
@@ -103,15 +110,20 @@ def _scan_chunk(eval_fn, bases: np.ndarray, grid: int, free: int):
 def _root_weight(eval_fn, base: np.ndarray, t: float, free: int) -> float:
     """Co-area weight w * ||grad f|| / |df/dt| at one root; 0 flags a grazing crossing."""
     d = base.size + 1
-    x = np.insert(base, free, t)
-    j = np.arange(d)
-    probes = np.repeat(x[None, :], 2 * d + 1, axis=0)
-    probes[2 * j, j] = np.minimum(x + GRAD_STEP, 1.0 - 1e-12)
-    probes[2 * j + 1, j] = np.maximum(x - GRAD_STEP, 0.0)
+    x = np.concatenate((base[:free], [t], base[free:]))
+    x_up = np.minimum(x + GRAD_STEP, 1.0 - 1e-12)
+    x_down = np.maximum(x - GRAD_STEP, 0.0)
+    # probe rows 2j and 2j + 1 step coordinate j up and down, and the last row is
+    # the root; entry (2j, j) is flat entry j(2d + 1), and (2j + 1, j) is d past it
+    probes = np.empty((2 * d + 1, d))
+    probes[:] = x
+    flat = probes.reshape(-1)
+    flat[:2 * d * d:2 * d + 1] = x_up
+    flat[d:2 * d * d:2 * d + 1] = x_down
     f, w = eval_fn(probes)
-    grad = (f[2 * j] - f[2 * j + 1]) / (probes[2 * j, j] - probes[2 * j + 1, j])
+    grad = (f[:2 * d:2] - f[1:2 * d:2]) / (x_up - x_down)
     dt = abs(grad[free])
-    gn = float(np.linalg.norm(grad))
+    gn = math.sqrt(grad.dot(grad))  # what np.linalg.norm computes for a real vector
     if gn == 0.0 or dt < EPS_DT * gn:
         return 0.0
     return float(w[-1]) * gn / dt
@@ -122,10 +134,10 @@ def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int 
                   eval_fn=None, on_row=None) -> float:
     """Mean co-area contribution over scrambled-Halton base points.
 
-    Bases are scanned CHUNK at a time.  Emits a cumulative AreaRow through
-    on_row at the first chunk end past each power of ten (and at the end).
-    Returns the final area estimate.  A bad argument raises ValueError before
-    the first row.
+    Bases are scanned max(1, SCAN_ROWS // grid) at a time.  Emits a cumulative
+    AreaRow through on_row at the first chunk end past each power of ten (and
+    at the end).  Returns the final area estimate.  A bad argument raises
+    ValueError before the first row.
     """
     if base_points < 1:
         raise ValueError("base_points must be >= 1")
@@ -138,13 +150,14 @@ def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int 
     if eval_fn is None:
         eval_fn = _det_eval(m)
     spec = qmc.ScrambleSpec(seed, skip, base_points)
+    chunk = max(1, SCAN_ROWS // grid)
     total = 0.0
     n_feasible = 0
     n_roots = 0
     done = 0
     next_row = 100
     while done < base_points:
-        nb = min(CHUNK, base_points - done)
+        nb = min(chunk, base_points - done)
         bi, roots, _ = _scan_chunk(eval_fn, qmc.points(spec, d - 1, done, nb), grid, free)
         n_feasible += len(np.unique(bi))
         n_roots += len(roots)

@@ -138,8 +138,9 @@ def _compute_block(task: tuple[RunConfig, int, int]) -> tuple:
     dec = param.decode_batch(pts, cfg.m)
     ok = ~dec.degenerate
     w = dec.w[ok]
-    rho = dec.rho[ok]
-    negs = [quantum.negativity(rho, f) for f in cfg.forms]
+    # negativity is taken matrix by matrix, so taking it on every row and then
+    # dropping the degenerate ones gives the same bits without a copy of rho
+    negs = [quantum.negativity(dec.rho, f)[ok] for f in cfg.forms]
     ppts = [neg == 0.0 for neg in negs]
     terms = ([dec.w_D[ok], dec.w_H[ok], w] + [w * ppt for ppt in ppts]
              + [w * neg for neg in negs] + [w * np.log1p(2.0 * neg) for neg in negs])

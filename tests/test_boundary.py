@@ -107,8 +107,9 @@ def test_real_roots_have_small_residual():
 def test_det_eval_peak_memory_is_one_slice_beside_rho():
     """A 32,768-row m = 6 call of the default evaluator peaks under 1.5x its rho's bytes.
 
-    That is the m = 6 scan's call at the default chunk and grid.  A partial
-    transpose copied at full size would add another rho, about 2.2x in all.
+    The evaluator serves batches of any size, four times the scan's row
+    budget here.  A partial transpose copied at full size would add another
+    rho, about 2.2x in all.
     """
     ev = boundary._det_eval(6)
     pts = qmc.points(qmc.ScrambleSpec(0), 35, 0, 32768)
@@ -155,6 +156,38 @@ def test_estimate_area_row_cadence():
         return pts[:, 3] - 0.5, np.ones(pts.shape[0])
     rows = []
     boundary.estimate_area(4, 1200, eval_fn=ev, free_index=3, on_row=rows.append)
-    # chunks of 512: the first chunk end past 100, the first past 1000, the end
-    assert boundary.CHUNK == 512
-    assert [r.bases for r in rows] == [512, 1024, 1200]
+    # chunks of SCAN_ROWS // 64 = 128 bases: the first chunk end past 100, the
+    # first past 1000, the end
+    assert boundary.SCAN_ROWS == 8192
+    assert [r.bases for r in rows] == [128, 1024, 1200]
+
+
+@pytest.mark.parametrize("grid", [2, boundary.DEFAULT_GRID, boundary.GRID_MAX])
+def test_estimate_area_calls_stay_within_row_budget(grid):
+    """No eval_fn call is larger than SCAN_ROWS rows; a full chunk's scan is exactly that."""
+    assert boundary.GRID_MAX <= boundary.SCAN_ROWS  # a chunk holds at least one base
+    sizes = []
+
+    def ev(pts):
+        sizes.append(len(pts))
+        return pts[:, 3] - 0.5, np.ones(pts.shape[0])
+    chunk = boundary.SCAN_ROWS // grid
+    area = boundary.estimate_area(4, chunk + 1, grid=grid, eval_fn=ev, free_index=3)
+    assert area > 0.0
+    assert max(sizes) == boundary.SCAN_ROWS == chunk * grid
+
+
+@pytest.mark.parametrize("m, bases", [(4, 400), (6, 300)])
+def test_estimate_area_final_row_does_not_depend_on_chunk(monkeypatch, m, bases):
+    """The final AreaRow is bit-identical with the chunk of 512 bases a 512 x grid budget gives."""
+    def final_row():
+        rows = []
+        area = boundary.estimate_area(m, bases, seed=3, on_row=rows.append)
+        r = rows[-1]
+        return r.bases, r.feasible, r.roots, r.area.hex(), area.hex(), len(rows)
+    budgeted = final_row()
+    monkeypatch.setattr(boundary, "SCAN_ROWS", 512 * boundary.DEFAULT_GRID)
+    whole = final_row()
+    assert budgeted[:-1] == whole[:-1]
+    # rows: the budget's first chunk end past 100 and the end, against one chunk
+    assert (budgeted[-1], whole[-1]) == (2, 1)

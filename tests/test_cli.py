@@ -496,6 +496,28 @@ def test_ntheory_prints_past_4300_digits(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_ntheory_parses_past_4300_digits(capsys):
+    """totient(7^5916): a 5,000-digit argument, past Python's default limit on str-to-int conversion."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text, want = str(7**5916), f"{6 * 7**5915}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(text) == 5000
+    assert cli.main(["ntheory", "totient", text]) == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted for each conversion only
+    assert capsys.readouterr().out == want
+
+
+def test_ntheory_argument_over_digit_cap_exits_2_fast(capsys):
+    t0 = time.perf_counter()
+    assert cli.main(["ntheory", "totient", "7" * (cli.NTHEORY_DIGITS_MAX + 1)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{cli.NTHEORY_DIGITS_MAX}-digit cap" in captured.err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_ntheory_result_over_digit_cap_exits_2_fast(capsys, fmt):
     """sigma_30000(8#) has about 209,600 digits: over the cap, it exits 2 without converting."""

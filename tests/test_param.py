@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import decode_reference, eig_density_log, split_euler_coords
 
-from sepvol import exactform, param, qmc
+from sepvol import estimator, exactform, param, qmc
 
 
 def test_euler_layout():
@@ -302,6 +302,25 @@ def test_decode_batch_peak_memory_is_one_slice(m):
         tracemalloc.stop()
     out_bytes = sum(getattr(dec, field).nbytes for field in _DECODED_FIELDS)
     assert peak <= 2.5 * out_bytes, peak / out_bytes
+
+
+def test_compute_block_peak_memory_takes_no_copy_of_rho():
+    """One m = 9 block of 4096 points peaks under 3x its rho's bytes.
+
+    The block's points, the decode's output and one partial-transpose copy
+    come to about 2.6x.  A copy of rho's non-degenerate rows before the
+    eigensolve would add another rho, about 3.6x in all.
+    """
+    cfg = estimator.RunConfig(9, 4096, 4096, seed=0)
+    estimator._compute_block((cfg, 0, 1))  # builds the cached plan outside the trace
+    tracemalloc.start()
+    try:
+        estimator._compute_block((cfg, 0, 4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rho_bytes = 4096 * 9 * 9 * 16
+    assert peak <= 3.0 * rho_bytes, peak / rho_bytes
 
 
 def test_decode_batch_rejects_wrong_width():
