@@ -62,11 +62,10 @@ def _det_eval(m: int):
     return ev
 
 
-def _bisect(eval_fn, base: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _bisect(eval_fn, line: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             f_lo: np.ndarray, free: int) -> np.ndarray:
-    """Vectorized bisection to interval width <= EPS_T per row."""
+    """Vectorized bisection of column free of each full-width point in line, to width <= EPS_T."""
     sign_lo = np.sign(f_lo)
-    line = np.insert(base, free, 0.0, axis=1)
     for _ in range(_BISECT_MAX):
         mid = 0.5 * (lo + hi)
         pts = line.copy()  # a fresh array per call: an eval_fn may keep the one it is given
@@ -101,16 +100,15 @@ def _scan_chunk(eval_fn, bases: np.ndarray, grid: int, free: int):
     bi, gi = np.where(sgn[:, :-1] * sgn[:, 1:] < 0)
     roots: list[tuple[float, float]] = []
     if bi.size:
-        t_root = _bisect(eval_fn, bases[bi], tg[gi], tg[gi + 1], f[bi, gi], free)
-        roots = [(float(t), _root_weight(eval_fn, bases[b], float(t), free))
-                 for b, t in zip(bi, t_root)]
+        x = lines[bi, 0]  # each bracket's full-width point; its free column becomes the root
+        x[:, free] = _bisect(eval_fn, x, tg[gi], tg[gi + 1], f[bi, gi], free)
+        roots = [(float(xr[free]), _root_weight(eval_fn, xr, free)) for xr in x]
     return bi, roots, int((~finite).sum())
 
 
-def _root_weight(eval_fn, base: np.ndarray, t: float, free: int) -> float:
-    """Co-area weight w * ||grad f|| / |df/dt| at one root; 0 flags a grazing crossing."""
-    d = base.size + 1
-    x = np.concatenate((base[:free], [t], base[free:]))
+def _root_weight(eval_fn, x: np.ndarray, free: int) -> float:
+    """Co-area weight w * ||grad f|| / |df/dt| at the root x; 0 flags a grazing crossing."""
+    d = x.size
     x_up = np.minimum(x + GRAD_STEP, 1.0 - 1e-12)
     x_down = np.maximum(x - GRAD_STEP, 0.0)
     # probe rows 2j and 2j + 1 step coordinate j up and down, and the last row is

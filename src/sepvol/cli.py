@@ -147,6 +147,9 @@ def _volumes_from_csv(path: str, d: int) -> tuple[float, float]:
     if not rows:
         raise ValueError(f"no data rows in {path}")
     last = rows[-1]
+    # DictReader keys a long row's extra fields under None and fills a short row's gaps with None
+    if None in last or None in last.values():
+        raise ValueError(f"{path}: the last row's field count differs from the header's")
     if any(c.startswith("ppt_vol_") for c in last):
         raise ValueError(f"{path} reports PPT volumes, not separable volumes")
     labels = [c.removeprefix("sep_vol_") for c in last if c.startswith("sep_vol_")]

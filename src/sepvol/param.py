@@ -119,20 +119,6 @@ def _simplex_lam(s: np.ndarray, c: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _simplex_decode(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The decode's simplex map at (B, m-1) angles in [0, pi/2]: lam (B, m) and log |d(lambda)/d(theta)|.
-
-    The Jacobian is the product over angles of sin 2t * sin^(2(m-2-i)) t, the
-    simplex's log factors in _plan's log_pow; _decode_rows sums them with the
-    weights' other factors.
-    """
-    n = theta.shape[1]
-    s, c = _sin_cos(theta.T / (np.pi / 2))
-    logs = np.log(np.concatenate((s, c)) + _TINY)
-    logj = n * np.log(2) + (_plan(n + 1).log_pow[:2 * n] * logs).sum(axis=0)
-    return _simplex_lam(s, c).T, logj
-
-
 def _unitary_batch(ph: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray, m: int,
                    layout: list[tuple[int, int]]) -> np.ndarray:
     """(m, m, B) unitaries from (P, B) unit phases and rotation cos, sin; W[c] is column c."""

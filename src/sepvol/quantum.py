@@ -23,6 +23,11 @@ class FactorSplit:
     dims: tuple[int, ...]
     transposed: frozenset[int]
 
+    def __post_init__(self):
+        if not self.transposed or not self.transposed <= set(range(len(self.dims))):
+            raise ValueError(f"invalid transposed factor set {sorted(self.transposed)} "
+                             f"for {len(self.dims)} factors")
+
     @property
     def decides_separability(self) -> bool:
         """PPT is equivalent to separability: two factors of product <= 6 (Horodecki 1996)."""
@@ -39,25 +44,16 @@ _FORMS = {
 DIMENSIONS = frozenset(_FORMS)  # the m every command supports
 
 
-def factor_partial_transpose(rho: np.ndarray, dims, transposed) -> np.ndarray:
-    """Transpose the selected tensor factors of rho's multi-index."""
+def partial_transpose(rho: np.ndarray, form: FactorSplit) -> np.ndarray:
+    """Transpose the form's selected tensor factors of rho's multi-index."""
     m = rho.shape[-1]
-    if math.prod(dims) != m:
-        raise ValueError(f"factor dims {dims} do not multiply to m={m}")
-    k = len(dims)
-    if not transposed or not set(transposed) <= set(range(k)):
-        raise ValueError(f"invalid transposed factor set {transposed} for {k} factors")
+    k = len(form.dims)
     lead = rho.shape[:-2]
     nl = len(lead)
-    R = rho.reshape(lead + tuple(dims) + tuple(dims))
-    for f in transposed:
+    R = rho.reshape(lead + form.dims + form.dims)
+    for f in form.transposed:
         R = np.swapaxes(R, nl + f, nl + k + f)
     return R.reshape(lead + (m, m))
-
-
-def partial_transpose(rho: np.ndarray, form: FactorSplit) -> np.ndarray:
-    """Apply a partial-transpose form."""
-    return factor_partial_transpose(rho, form.dims, form.transposed)
 
 
 def forms_for(m: int) -> tuple[FactorSplit, ...]:

@@ -58,6 +58,18 @@ def root_residual(base, t, m, free_index):
         quantum.partial_transpose(rho, quantum.forms_for(m)[0]))).min())
 
 
+def decode_simplex_jacobian(pts, m, h=1e-6):
+    """Central-difference |det d(lambda)/dv| of decode_batch's first m-1 eigenvalues over its first m-1 coordinates."""
+    n = m - 1
+    J = np.empty((len(pts), n, n))
+    for j in range(n):
+        up, down = pts.copy(), pts.copy()
+        up[:, j] += h
+        down[:, j] -= h
+        J[:, :, j] = param.decode_batch(up, m).lam[:, :n] - param.decode_batch(down, m).lam[:, :n]
+    return np.abs(np.linalg.det(J / (2 * h)))
+
+
 def split_euler_coords(m, eu):
     """Per-pair (phase, rotation) columns, one rotation column at a time."""
     P = m * (m - 1) // 2

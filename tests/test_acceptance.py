@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import is_ppt
+from oracles import decode_simplex_jacobian, eig_density_log, is_ppt
 
 from sepvol import analysis, boundary, estimator, exactform, param, qmc, quantum
 
@@ -264,26 +264,18 @@ def test_criterion_6_property_suites():
         for f in quantum.forms_for(6))
     _check(bad, "criterion 6 PPT iff zero negativity", ppt_neg_ok, "1e4 samples")
 
-    a = np.linalg.eigvalsh(quantum.factor_partial_transpose(rho[:200], (2, 3), {0}))
-    b = np.linalg.eigvalsh(quantum.factor_partial_transpose(rho[:200], (2, 3), {1}))
+    qubit = quantum.FactorSplit("t0", (2, 3), frozenset({0}))
+    a = np.linalg.eigvalsh(quantum.partial_transpose(rho[:200], qubit))
+    b = np.linalg.eigvalsh(quantum.partial_transpose(rho[:200], quantum.forms_for(6)[0]))
     _check(bad, "criterion 6 PT spectrum identity", np.abs(a - b).max() < 1e-9,
            f"complementary transposes, max gap {np.abs(a - b).max():.2e}")
 
-    rng = np.random.default_rng(1)
-    h = 1e-6
-    jac_ok = True
-    for _ in range(10):
-        theta = rng.uniform(0.15, np.pi / 2 - 0.15, size=5)
-        jac = np.exp(param._simplex_decode(theta[None, :])[1][0])
-        J = np.empty((5, 5))
-        for j in range(5):
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            J[:, j] = (param._simplex_decode(tp[None, :])[0][0, :5] -
-                       param._simplex_decode(tm[None, :])[0][0, :5]) / (2 * h)
-        jac_ok &= abs(abs(np.linalg.det(J)) / jac - 1) < 1e-5
-    _check(bad, "criterion 6 jacobian", jac_ok, "finite differences at 1e-5 relative")
+    jac_pts = np.random.default_rng(1).uniform(0.1, 0.9, size=(10, 35))
+    jac_dec = param.decode_batch(jac_pts, 6)
+    jac = jac_dec.w_D / np.exp(eig_density_log(jac_dec.lam))
+    jac_err = np.abs(decode_simplex_jacobian(jac_pts, 6) / jac - 1).max()
+    _check(bad, "criterion 6 jacobian", jac_err < 1e-5,
+           f"decode's w_D against finite differences, max relative gap {jac_err:.2e}")
 
     rows = {}
     for workers in (1, 2, 8):

@@ -87,18 +87,22 @@ def test_grazing_crossing_gets_zero_weight():
     assert roots[0][1] == 0.0
 
 
-def test_real_roots_have_small_residual():
-    """Refined m=6 roots pin a vanishing partial-transpose eigenvalue."""
+@pytest.mark.parametrize("free", [0, 5, 34])
+def test_real_roots_have_small_residual(free):
+    """Refined m=6 roots pin a vanishing partial-transpose eigenvalue, at any scan coordinate.
+
+    At free = 34, the last column, the splice has nothing to its right.
+    """
     from sepvol import qmc
 
     eps_root = 1e-10  # bound on the smallest |PT eigenvalue| at a refined root
     bases = qmc.points(qmc.ScrambleSpec(0), 34, 0, 12)
     found = 0
     for base in bases:
-        roots, _ = _scan(boundary._det_eval(6), base, grid=32, free=0)
+        roots, _ = _scan(boundary._det_eval(6), base, grid=32, free=free)
         for t, _ in roots:
             found += 1
-            assert root_residual(base, t, 6, 0) <= eps_root
+            assert root_residual(base, t, 6, free) <= eps_root
         ts = [t for t, _ in roots]
         assert ts == sorted(ts)
     assert found > 0

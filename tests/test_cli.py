@@ -5,6 +5,7 @@ import itertools
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from oracles import is_prime
@@ -138,7 +139,7 @@ def test_estimate_json_matches_csv(tmp_path):
     assert cli.main(argv + ["--out", c]) == 0
     assert cli.main(argv + ["--out", j, "--format", "json"]) == 0
     crow = _read_csv(c)[0]
-    jrow = json.loads(open(j).read().splitlines()[0])
+    jrow = json.loads(Path(j).read_text().splitlines()[0])
     for key, val in jrow.items():
         assert float(crow[key]) == float(val)
 
@@ -202,9 +203,9 @@ def test_estimate_resume_appends_nothing_when_complete(tmp_path):
     argv = ["estimate", "--m", "4", "--points", "2000", "--checkpoint-every",
             "1000", "--out", out, "--checkpoint-file", ck]
     assert cli.main(argv) == 0
-    first = open(out).read()
+    first = Path(out).read_text()
     assert cli.main(argv) == 0
-    assert open(out).read() == first
+    assert Path(out).read_text() == first
     assert len(first.splitlines()) == 3  # header + 2 rows
 
 
@@ -425,6 +426,19 @@ def test_iso_check_csv_d_must_match_its_m(tmp_path, capsys):
     assert cli.main(["estimate", "--m", "4", "--points", "100", "--out", out]) == 0
     assert cli.main(["iso-check", "--csv", out, "--a-sep", "1.0"]) == 2  # default --d 35
     assert "--d must be 15" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ragged", ["short", "long"])
+def test_iso_check_csv_ragged_last_row_exits_2(tmp_path, capsys, ragged):
+    """A last row cut short mid-write, or one with a field too many, exits 2 without a traceback."""
+    out = tmp_path / "est.csv"
+    assert cli.main(["estimate", "--m", "4", "--points", "100", "--out", str(out)]) == 0
+    text = out.read_text()
+    extra = "1,2" if ragged == "short" else text.splitlines()[-1] + ",7"
+    out.write_text(text + extra + "\n")
+    assert cli.main(["iso-check", "--d", "15", "--csv", str(out), "--a-sep", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "field count" in err and "Traceback" not in err
 
 
 def test_iso_check_overflow_exits_4(capsys):

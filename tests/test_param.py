@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import decode_reference, eig_density_log, split_euler_coords
+from oracles import decode_reference, decode_simplex_jacobian, eig_density_log, split_euler_coords
 
 from sepvol import estimator, exactform, param, qmc
 
@@ -77,46 +77,32 @@ def test_rotation_first_orders_by_coupling_width():
     assert max(coord_of_width[3]) < min(coord_of_width[2])
 
 
-def _eigenvalues(theta):
-    """Eigenvalues and linear Jacobian of the decode's simplex map at one angle vector."""
-    lam, logj = param._simplex_decode(np.asarray(theta, dtype=float)[None, :])
-    return lam[0], float(np.exp(logj[0]))
-
-
 def _simplex_density(lam):
     return float(np.exp(eig_density_log(np.asarray(lam, dtype=float)[None, :])[0]))
 
 
 def test_eigenvalues_from_angles_m2():
-    lam, jac = _eigenvalues([np.pi / 4])
+    # the simplex coordinate 1/2 is the angle pi/4
+    lam = param.decode_batch(np.full((1, 3), 0.5), 2).lam[0]
     assert np.allclose(lam, [0.5, 0.5])
-    assert jac == pytest.approx(1.0)
 
 
 def test_eigenvalues_sum_to_one():
     rng = np.random.default_rng(3)
     for m in (4, 6, 9):
-        theta = rng.uniform(0.1, np.pi / 2 - 0.1, size=m - 1)
-        lam, _ = _eigenvalues(theta)
-        assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+        lam = param.decode_batch(rng.uniform(0.06, 0.94, size=(5, m * m - 1)), m).lam
+        assert np.abs(lam.sum(axis=1) - 1).max() <= 1e-12
         assert lam.min() > 0
 
 
 def test_simplex_jacobian_matches_finite_differences():
+    """w_D is the eigenvalue density times |det d(lambda)/dv|, the decode's own simplex Jacobian."""
     rng = np.random.default_rng(11)
-    h = 1e-6
-    for _ in range(20):
-        theta = rng.uniform(0.15, np.pi / 2 - 0.15, size=5)
-        _, jac = _eigenvalues(theta)
-        J = np.empty((5, 5))
-        for j in range(5):
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            lp, _ = _eigenvalues(tp)
-            lm, _ = _eigenvalues(tm)
-            J[:, j] = (lp[:5] - lm[:5]) / (2 * h)
-        assert abs(np.linalg.det(J)) == pytest.approx(jac, rel=1e-5)
+    for m in (2, 3, 4, 6, 8, 9):
+        pts = rng.uniform(0.1, 0.9, size=(20, m * m - 1))
+        dec = param.decode_batch(pts, m)
+        jac = dec.w_D / np.exp(eig_density_log(dec.lam))
+        assert np.abs(decode_simplex_jacobian(pts, m) / jac - 1).max() < 1e-5, m
 
 
 def test_simplex_density_m2():

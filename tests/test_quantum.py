@@ -10,6 +10,11 @@ QUBIT_QUBIT = quantum.forms_for(4)[0]
 QUBIT_QUTRIT = quantum.forms_for(6)[0]  # transposes the qutrit
 
 
+def _split(*transposed):
+    """A (2, 3) split transposing the given factors."""
+    return quantum.FactorSplit("t", (2, 3), frozenset(transposed))
+
+
 def test_block_partial_transpose_4x4():
     rho = np.arange(16, dtype=float).reshape(4, 4)
     expected = np.array([
@@ -31,12 +36,9 @@ def test_partial_transpose_on_kronecker_products():
     A, B = _random_complex(rng, 2), _random_complex(rng, 3)
     rho = np.kron(A, B)
     assert np.array_equal(quantum.partial_transpose(rho, QUBIT_QUTRIT), np.kron(A, B.T))
-    assert np.array_equal(
-        quantum.factor_partial_transpose(rho, (2, 3), {1}), np.kron(A, B.T))
-    assert np.array_equal(
-        quantum.factor_partial_transpose(rho, (2, 3), {0}), np.kron(A.T, B))
-    assert np.array_equal(
-        quantum.factor_partial_transpose(rho, (2, 3), {0, 1}), rho.T)
+    assert np.array_equal(quantum.partial_transpose(rho, _split(1)), np.kron(A, B.T))
+    assert np.array_equal(quantum.partial_transpose(rho, _split(0)), np.kron(A.T, B))
+    assert np.array_equal(quantum.partial_transpose(rho, _split(0, 1)), rho.T)
 
 
 def test_partial_transpose_is_an_involution():
@@ -52,8 +54,8 @@ def test_complementary_transposes_share_a_spectrum():
     rng = np.random.default_rng(3)
     M = _random_complex(rng, 6)
     rho = M @ M.conj().T
-    a = np.linalg.eigvalsh(quantum.factor_partial_transpose(rho, (2, 3), {0}))
-    b = np.linalg.eigvalsh(quantum.factor_partial_transpose(rho, (2, 3), {1}))
+    a = np.linalg.eigvalsh(quantum.partial_transpose(rho, _split(0)))
+    b = np.linalg.eigvalsh(quantum.partial_transpose(rho, _split(1)))
     assert np.abs(a - b).max() < 1e-10
 
 
@@ -97,13 +99,13 @@ def test_forms_for():
 
 
 def test_factor_split_validation():
-    """The kernel rejects dims that do not multiply to m and out-of-range factor sets."""
+    """A split rejects an empty or out-of-range factor set when built; dims that do not fit rho raise."""
     with pytest.raises(ValueError):
-        quantum.factor_partial_transpose(np.eye(6), (2, 2), {0})
+        _split()
     with pytest.raises(ValueError):
-        quantum.factor_partial_transpose(np.eye(6), (2, 3), set())
+        _split(2)
     with pytest.raises(ValueError):
-        quantum.factor_partial_transpose(np.eye(6), (2, 3), {2})
+        quantum.partial_transpose(np.eye(6), QUBIT_QUBIT)
 
 
 def test_batch_outputs():
