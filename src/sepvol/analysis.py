@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactform import factorize, first_primes, product
+from .exactform import first_primes, product
 
-# sigma_k(n), phi(n)^(k+1) and each p^(k(e+1)) for p^e | n take at most about
-# 2 * k * log2(n) bits; capping k * bit_length(n) keeps a call to about 0.5 s at most on 2 cores
+# sigma_k(l#) and phi(l#)^(k+1) take at most about 2 * k * log2(l#) bits;
+# capping k * bit_length(l#) keeps a call to about 0.5 s at most on 2 cores
 SIGMA_BITS = 1 << 20
 
 
@@ -53,32 +53,26 @@ def levy_gromov_check(d: int, V_total: float, V_sep: float, A_sep: float) -> Iso
     return IsoperimetricReport(alpha, ratio, ball, s_alpha, w, ratio > w)
 
 
-def totient(n: int) -> int:
-    """Euler's totient, via exact factorization."""
-    if n < 1:
-        raise ValueError("totient expects n >= 1")
-    return product([(p - 1) * p ** (e - 1) for p, e in factorize(n).items()])
+def primorial_totient(l: int) -> int:
+    """phi(l#) = prod(p - 1) over the first l primes."""
+    return product([p - 1 for p in first_primes(l)])
 
 
-def divisor_power_sum(n: int, k: int) -> int:
-    """Sum of the k-th powers of the divisors of n; k * bit_length(n) is capped at SIGMA_BITS."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    if k * n.bit_length() > SIGMA_BITS:
-        raise ValueError(f"k={k} too large: its powers of n need about "
-                         f"{k * n.bit_length()} bits, over the {SIGMA_BITS}-bit budget")
-    out = 1
-    for p, e in factorize(n).items():
-        if k == 0:
-            out *= e + 1
-        else:
-            out *= (p ** (k * (e + 1)) - 1) // (p ** k - 1)
-    return out
+def primorial_sigma(l: int, k: int) -> int:
+    """sigma_k(l#) = prod(1 + p^k) over the first l primes; k * bit_length(l#) is capped at SIGMA_BITS."""
+    if k < 0:
+        raise ValueError("need k >= 0")
+    ps = first_primes(l)
+    bits = k * product(ps).bit_length()
+    if bits > SIGMA_BITS:
+        raise ValueError(f"k={k} too large: its powers of {l}# need about "
+                         f"{bits} bits, over the {SIGMA_BITS}-bit budget")
+    return product([1 + p**k for p in ps])
 
 
 def labos_check(l: int, k: int) -> bool:
-    """True iff sigma_k(l) exceeds phi(l)^(k+1), in exact integer arithmetic."""
-    return divisor_power_sum(l, k) > totient(l) ** (k + 1)
+    """True iff sigma_k(l#) exceeds phi(l#)^(k+1), in exact integer arithmetic."""
+    return primorial_sigma(l, k) > primorial_totient(l) ** (k + 1)
 
 
 def primorial_limit_term(l: int) -> float:

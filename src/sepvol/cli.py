@@ -20,8 +20,8 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 # Python converts an int to decimal in time quadratic in its length: about 0.7 s
-# at this many digits on 2 cores, against 0.18 s at 100,000 (0.25 s to parse
-# this many).  The cap holds for ntheory's arguments and its results.
+# at this many digits on 2 cores, against 0.18 s at 100,000.  The cap holds for
+# ntheory's results; its arguments are read under Python's default digit limit.
 NTHEORY_DIGITS_MAX = 200_000
 
 
@@ -99,6 +99,21 @@ def _estimate_row(row: estimator.CheckpointRow, cfg: estimator.RunConfig, deviat
     return rec
 
 
+def _cut_after_row(path: str, fmt: str, n: int):
+    """Drop what follows the row at n in an estimate output.  A crash between a row
+    and its checkpoint leaves rows past the checkpoint's n; the resumed run writes
+    them again, bit for bit."""
+    prefix = (f"{n}," if fmt == "csv" else json.dumps({"n": n})[:-1] + ",").encode()
+    with open(path, "r+b") as fh:
+        end = 0
+        for line in fh:
+            end += len(line)
+            if line.startswith(prefix):
+                fh.truncate(end)
+                return
+    raise ValueError(f"{path} holds no {fmt} row at n={n}, where the checkpoint resumes")
+
+
 def cmd_estimate(args) -> int:
     cfg = estimator.RunConfig(
         m=args.m,
@@ -109,8 +124,10 @@ def cmd_estimate(args) -> int:
         workers=args.workers,
     )
     resuming = bool(args.checkpoint_file) and os.path.exists(args.checkpoint_file)
-    if resuming and args.out != "-" and not os.path.exists(args.out):  # earlier rows would be lost
-        raise ValueError(f"resuming appends to --out, but {args.out} does not exist")
+    if resuming and args.out != "-":
+        if not os.path.exists(args.out):  # earlier rows would be lost
+            raise ValueError(f"resuming appends to --out, but {args.out} does not exist")
+        _cut_after_row(args.out, args.format, estimator.load_checkpoint(args.checkpoint_file, cfg).n)
     writer = _RowWriter(args.out, args.format, append=resuming)
     try:
         estimator.run(cfg, checkpoint_path=args.checkpoint_file,
@@ -193,32 +210,26 @@ def _int_digits_unlimited():
         sys.set_int_max_str_digits(limit)
 
 
-def _ntheory_int(text: str) -> int:
-    if len(text) > NTHEORY_DIGITS_MAX:
-        raise ValueError(f"an argument of {len(text)} characters is over the "
-                         f"{NTHEORY_DIGITS_MAX}-digit cap")
-    # "14#" is accepted as the product of the first 14 primes
-    if text.endswith("#"):
-        return exactform.primorial(int(text[:-1]))
-    with _int_digits_unlimited():
-        return int(text)
-
-
-# ntheory op -> (function, number of arguments)
+# ntheory op -> (function, number of arguments); all but limit-term take l# first
 _NTHEORY_OPS = {
-    "totient": (analysis.totient, 1),
-    "sigma": (analysis.divisor_power_sum, 2),
+    "totient": (analysis.primorial_totient, 1),
+    "sigma": (analysis.primorial_sigma, 2),
     "labos": (analysis.labos_check, 2),
     "limit-term": (analysis.primorial_limit_term, 1),
 }
 
 
 def cmd_ntheory(args) -> int:
-    vals = [_ntheory_int(a) for a in args.args]
     fn, arity = _NTHEORY_OPS[args.op]
-    if len(vals) != arity:
-        raise ValueError(f"{args.op} takes {arity} argument(s), got {len(vals)}")
-    result = fn(*vals)
+    if len(args.args) != arity:
+        raise ValueError(f"{args.op} takes {arity} argument(s), got {len(args.args)}")
+    first, *rest = args.args
+    if args.op != "limit-term":
+        if not first.endswith("#"):
+            raise ValueError(f"{args.op} takes l#, the product of the first l primes, "
+                             "as its first argument")
+        first = first[:-1]
+    result = fn(int(first), *map(int, rest))
     if isinstance(result, int) and not isinstance(result, bool):
         # at most this many digits, known from the bits before any conversion
         digits = math.floor(result.bit_length() * math.log10(2)) + 1

@@ -9,17 +9,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import param, quantum
 
 
-# The sieve for n primes takes about n(ln n + ln ln n) bytes, and factorize sieves
-# its divisors up to TRIAL_DIVISOR_MAX; these caps keep a sieve to about 1 s at most on 2 cores
+# The sieve for n primes takes about n(ln n + ln ln n) bytes; the cap keeps it to about 1 s on 2 cores
 PRIME_COUNT_MAX = 1 << 19
-TRIAL_DIVISOR_MAX = 1 << 22
 
 
 class UnsupportedDimensionError(ValueError):
@@ -56,46 +53,17 @@ def primorial(l: int) -> int:
     return product(first_primes(l))
 
 
-_GCD_BLOCK = 256  # sieved primes tested by one gcd in factorize
-
-
-def _prime_blocks(limit: int) -> Iterator[list[int]]:
-    """The primes up to limit, smallest first, _GCD_BLOCK at a time.
-
-    The sieve grows 16-fold at a time, so a caller that stops early has sieved
-    little past the last prime it read.
-    """
-    seen, bound = 0, 1 << 12
-    while True:
-        primes = _primes_below(min(bound, limit + 1))
-        for s in range(seen, len(primes), _GCD_BLOCK):
-            yield primes[s:s + _GCD_BLOCK]
-        if bound > limit:
-            return
-        seen, bound = len(primes), bound * 16
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by the primes up to sqrt(n), a block of them per gcd.
-
-    Divisors stop at TRIAL_DIVISOR_MAX; a cofactor left above its square raises ValueError.
-    """
+    """Prime factorization of n >= 1 by trial division, which stops once p^2 > n."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    for block in _prime_blocks(min(TRIAL_DIVISOR_MAX, math.isqrt(n))):
-        if block[0] * block[0] > n:
-            break
-        g = math.gcd(n, product(block))
-        while g > 1:  # g is the product of the block's primes that still divide n
-            n //= g
-            for p in block:
-                if g % p == 0:
-                    out[p] = out.get(p, 0) + 1
-            g = math.gcd(n, g)
-    if n > TRIAL_DIVISOR_MAX**2:
-        raise ValueError(f"a {n.bit_length()}-bit cofactor has no divisor up to the "
-                         f"trial-division cap {TRIAL_DIVISOR_MAX}")
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
     if n > 1:
         out[n] = 1
     return out

@@ -4,6 +4,8 @@ Each is the plain, one-point-at-a-time form of something the program computes
 in batch or by another rule.
 """
 
+import itertools
+
 import numpy as np
 
 from sepvol import param, quantum
@@ -29,6 +31,17 @@ def radical_inverse(index, base, perm=None):
         n //= base
         scale /= base
     return x
+
+
+def trial_division_primes(n):
+    """The first n primes by trial division: each candidate against the primes up to its root."""
+    out = []
+    c = 2
+    while len(out) < n:
+        if all(c % p for p in itertools.takewhile(lambda p: p * p <= c, out)):
+            out.append(c)
+        c += 1
+    return out
 
 
 def is_prime(n):

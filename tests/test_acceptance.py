@@ -16,13 +16,12 @@ The criterion-7 number-theory checks assert what exact arithmetic and proven
 prime bounds give, with the expectations computed inside the tests.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
 import pytest
-from oracles import decode_simplex_jacobian, eig_density_log, is_ppt
+from oracles import decode_simplex_jacobian, eig_density_log, is_ppt, trial_division_primes
 
 from sepvol import analysis, boundary, estimator, exactform, param, qmc, quantum
 
@@ -176,8 +175,8 @@ def test_criterion_4_m8_m9_haar_volume_window(m8_run, m9_run):
     across nine seeds).  The abstract calls the m=8/9 runs preliminary, and
     neither it, the README nor the docstrings promise 25% at 1e5 points, so
     nothing settles whether the window is a requirement.  It stays as written
-    and red until the estimator changes (ROADMAP Direction 3: exact Haar
-    sampling makes w_H constant).  The same code path converges to -0.002%
+    and red until the estimator changes (ROADMAP's bounded-weight sampler:
+    exact Haar angles make w_H constant).  The same code path converges to -0.002%
     (m=4) and -1% (m=6).
     """
     bad = []
@@ -211,7 +210,8 @@ def test_criterion_5_m6_boundary_run(boundary_run):
       sum at 2e3 bases) and the mean still climbs at 5e4 bases (2.6e-6 ->
       3.0e-6 -> 4.9e-6 over successive decades).
 
-    The window stays as written; the mend belongs to ROADMAP Direction 2.
+    The window stays as written; the mend belongs to ROADMAP's metric-correct
+    co-area weight.
     """
     area, last = boundary_run
     feas = last.feasible / last.bases
@@ -305,23 +305,11 @@ def test_criterion_7_isoperimetric_and_true_inequalities():
            f"{rep.w:.6f} within 2% of .05734")
     _check(bad, "criterion 7 comparison holds", rep.holds,
            f"boundary ratio {rep.boundary_ratio:.4f} > w {rep.w:.6f}")
-    _check(bad, "criterion 7 labos(2310, 4)", analysis.labos_check(2310, 4) is True,
-           "sigma_4(2310) > phi(2310)^5")
-    _check(bad, "criterion 7 labos(14#, 19)",
-           analysis.labos_check(exactform.primorial(14), 19) is True,
+    _check(bad, "criterion 7 labos(5#, 4)", analysis.labos_check(5, 4) is True,
+           "sigma_4(5#) > phi(5#)^5")
+    _check(bad, "criterion 7 labos(14#, 19)", analysis.labos_check(14, 19) is True,
            "sigma_19(14#) > phi(14#)^20")
     assert not bad, "\n".join(bad)
-
-
-def _first_primes(n):
-    """The first n primes by trial division; shares no code with sepvol."""
-    out = []
-    c = 2
-    while len(out) < n:
-        if all(c % p for p in itertools.takewhile(lambda p: p * p <= c, out)):
-            out.append(c)
-        c += 1
-    return out
 
 
 def test_criterion_7_labos_14_primorial_k18():
@@ -335,14 +323,14 @@ def test_criterion_7_labos_14_primorial_k18():
     which exact arithmetic refutes; PAPER.md holds only the abstract, so
     where that expectation came from cannot be traced.
     """
-    ps = _first_primes(14)
+    ps = trial_division_primes(14)
     l = exactform.primorial(14)
     bad = []
     _check(bad, "criterion 7 14#", math.prod(ps) == l,
            f"primorial(14) = {l} is the product of {ps[0]}..{ps[-1]}")
     for k, threshold_side in ((17, False), (18, True)):
         want = math.prod(1 + p**k for p in ps) > math.prod((p - 1) ** (k + 1) for p in ps)
-        got = analysis.labos_check(l, k)
+        got = analysis.labos_check(14, k)
         _check(bad, f"criterion 7 labos(14#, {k})", got is want and want is threshold_side,
                f"expected {threshold_side}, closed-form product gives {want}, "
                f"labos_check gives {got}")
@@ -365,7 +353,7 @@ def test_criterion_7_primorial_limit_term_near_e():
     - the term equals exp(theta(p)/p) summed over primes found here by trial
       division, to 1e-12 relative.
     """
-    ps = _first_primes(1000)
+    ps = trial_division_primes(1000)
     p = ps[-1]
     got = analysis.primorial_limit_term(1000)
     lower = math.exp(1 - 1 / (2 * math.log(p)))

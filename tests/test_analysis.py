@@ -2,8 +2,8 @@
 
 import math
 
-import numpy as np
 import pytest
+from oracles import trial_division_primes
 
 from sepvol import analysis
 from sepvol.exactform import factorize, primorial
@@ -53,55 +53,63 @@ def test_levy_gromov_check_validation():
 
 
 def test_totient():
-    assert analysis.totient(1) == 1
-    assert analysis.totient(10) == 4
-    assert analysis.totient(97) == 96
-    assert analysis.totient(2310) == 480
+    assert analysis.primorial_totient(0) == 1
+    assert analysis.primorial_totient(1) == 1
+    assert analysis.primorial_totient(2) == 2
+    assert analysis.primorial_totient(5) == 480
 
 
 def test_totient_multiplicative():
-    rng = np.random.default_rng(0)
-    done = 0
-    while done < 20:
-        a, b = int(rng.integers(2, 500)), int(rng.integers(2, 500))
-        if math.gcd(a, b) == 1:
-            assert analysis.totient(a * b) == analysis.totient(a) * analysis.totient(b)
-            done += 1
+    """phi(l#) = prod(p - 1) over the first l primes, found here by trial division, for l <= 20."""
+    for l in range(21):
+        assert analysis.primorial_totient(l) == math.prod(p - 1 for p in trial_division_primes(l))
 
 
 def test_divisor_power_sum():
-    assert analysis.divisor_power_sum(6, 1) == 12
-    assert analysis.divisor_power_sum(12, 0) == 6
-    assert analysis.divisor_power_sum(4, 2) == 1 + 4 + 16
-    assert analysis.divisor_power_sum(7, 3) == 1 + 343
+    assert analysis.primorial_sigma(2, 1) == 12
+    assert analysis.primorial_sigma(3, 0) == 8
+    assert analysis.primorial_sigma(1, 2) == 1 + 4
+    assert analysis.primorial_sigma(0, 3) == 1
+    assert analysis.primorial_sigma(4, 3) == (1 + 8) * (1 + 27) * (1 + 125) * (1 + 343)
 
 
 def test_divisor_power_sum_rejects_exponent_over_bit_budget():
-    """k * bit_length(n) above SIGMA_BITS raises before any power is taken."""
-    k = analysis.SIGMA_BITS // 2 + 1  # 2 has bit length 2
-    for fn in (analysis.divisor_power_sum, analysis.labos_check):
+    """k * bit_length(l#) above SIGMA_BITS raises before any power is taken."""
+    k = analysis.SIGMA_BITS // 2 + 1  # 1# = 2 has bit length 2
+    for fn in (analysis.primorial_sigma, analysis.labos_check):
         with pytest.raises(ValueError, match=f"k={k}"):
-            fn(2, k)
-    assert analysis.labos_check(2, 65537)  # 2 * 65537 bits stays allowed
+            fn(1, k)
+    assert analysis.labos_check(1, 65537)  # 2 * 65537 bits stays allowed
 
 
 def test_divisor_power_sum_multiplicative():
-    for k in (0, 1, 2):
-        assert analysis.divisor_power_sum(8 * 9, k) == \
-            analysis.divisor_power_sum(8, k) * analysis.divisor_power_sum(9, k)
+    """sigma_k(l#) = prod(1 + p^k) over the first l primes, found here by trial division, for l <= 20."""
+    for l in range(21):
+        ps = trial_division_primes(l)
+        for k in (0, 1, 2, 7):
+            assert analysis.primorial_sigma(l, k) == math.prod(1 + p**k for p in ps)
 
 
 def test_labos_check_small():
-    assert analysis.labos_check(2310, 4) is True
-    assert analysis.labos_check(2310, 3) is False
+    assert analysis.labos_check(5, 4) is True
+    assert analysis.labos_check(5, 3) is False
 
 
 def test_labos_check_14th_primorial():
     """sigma_k(14#) first beats phi(14#)^(k+1) at k = 18 (by 1.4%), and the
     inequality stays true for every larger k."""
-    l = primorial(14)
-    flips = [analysis.labos_check(l, k) for k in range(15, 26)]
+    flips = [analysis.labos_check(14, k) for k in range(15, 26)]
     assert flips == [False, False, False] + [True] * 8
+
+
+@pytest.mark.parametrize("l", range(7))
+def test_primorial_totient_and_sigma_match_their_definitions(l):
+    """phi(l#) counts the residues coprime to l#; sigma_k(l#) sums the k-th powers of its divisors."""
+    n = math.prod(trial_division_primes(l))
+    assert analysis.primorial_totient(l) == sum(math.gcd(a, n) == 1 for a in range(1, n + 1))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for k in (0, 1, 2, 7):
+        assert analysis.primorial_sigma(l, k) == sum(d**k for d in divisors)
 
 
 def test_primorial_limit_term():
@@ -124,13 +132,16 @@ def _trial_division(n):
     return out
 
 
-@pytest.mark.parametrize("n", [primorial(3000), 2**10 * 3**5 * 999983, 999983 * 1000003, 12, 1],
+@pytest.mark.parametrize("n, l", [(primorial(3000), 3000), (2**10 * 3**5 * 999983, None),
+                                  (999983 * 1000003, None), (12, None), (1, 0)],
                          ids=["3000#", "2^10*3^5*999983", "999983*1000003", "12", "1"])
-def test_factorize_and_totient_match_trial_division(n):
-    """The blockwise gcd factorization and the product-tree totient agree with plain trial division."""
+def test_factorize_and_totient_match_trial_division(n, l):
+    """factorize agrees with plain trial division; where n = l#, so does primorial_totient(l)
+    with the totient that factorization gives."""
     oracle = _trial_division(n)
     assert factorize(n) == oracle
-    phi = n
-    for p in oracle:
-        phi = phi // p * (p - 1)
-    assert analysis.totient(n) == phi
+    if l is not None:
+        phi = n
+        for p in oracle:
+            phi = phi // p * (p - 1)
+        assert analysis.primorial_totient(l) == phi

@@ -1,14 +1,12 @@
 """Command-line behaviors: output formats, resume, exit codes."""
 
 import csv
-import itertools
 import json
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from oracles import is_prime
 
 from sepvol import analysis, boundary, cli, estimator, exactform, quantum
 
@@ -207,6 +205,42 @@ def test_estimate_resume_appends_nothing_when_complete(tmp_path):
     assert cli.main(argv) == 0
     assert Path(out).read_text() == first
     assert len(first.splitlines()) == 3  # header + 2 rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_estimate_resume_after_crash_before_checkpoint_matches_uninterrupted(tmp_path, monkeypatch, fmt):
+    """A crash between a row and its checkpoint leaves that row in --out; resuming
+    drops it and writes it again, so --out matches a run that never stopped."""
+    argv = ["estimate", "--m", "4", "--points", "12288", "--checkpoint-every", "4096",
+            "--format", fmt]
+    whole, cut, ck = tmp_path / "whole.out", tmp_path / "cut.out", str(tmp_path / "state.ck")
+    assert cli.main(argv + ["--out", str(whole)]) == 0
+    save, saves = estimator.save_checkpoint, []
+
+    def fail_second_save(*a):
+        saves.append(a)
+        if len(saves) == 2:
+            raise OSError("disk gone")
+        save(*a)
+
+    monkeypatch.setattr(estimator, "save_checkpoint", fail_second_save)
+    argv += ["--out", str(cut), "--checkpoint-file", ck]
+    assert cli.main(argv) == 3
+    monkeypatch.undo()
+    assert len(cut.read_text().splitlines()) == 2 + (fmt == "csv")  # rows 4096 and 8192
+    assert cli.main(argv) == 0
+    assert cut.read_bytes() == whole.read_bytes()
+
+
+def test_estimate_resume_into_out_without_checkpoint_row_exits_2(tmp_path, capsys):
+    ck = str(tmp_path / "state.ck")
+    out = tmp_path / "est.csv"
+    argv = ["estimate", "--m", "4", "--points", "2000", "--checkpoint-every", "1000",
+            "--out", str(out), "--checkpoint-file", ck]
+    assert cli.main(argv) == 0
+    out.write_text(out.read_text().splitlines(keepends=True)[0])  # the header only
+    assert cli.main(argv) == 2
+    assert "n=2000" in capsys.readouterr().err
 
 
 def test_estimate_resume_into_missing_out_exits_2(tmp_path, capsys):
@@ -453,9 +487,9 @@ def test_iso_check_missing_inputs_exits_2():
 
 
 def test_ntheory_outputs(capsys):
-    assert cli.main(["ntheory", "totient", "2310"]) == 0
+    assert cli.main(["ntheory", "totient", "5#"]) == 0
     assert capsys.readouterr().out.strip() == "480"
-    assert cli.main(["ntheory", "sigma", "6", "1"]) == 0
+    assert cli.main(["ntheory", "sigma", "2#", "1"]) == 0
     assert capsys.readouterr().out.strip() == "12"
     assert cli.main(["ntheory", "labos", "14#", "19"]) == 0
     assert capsys.readouterr().out.strip() == "true"
@@ -469,33 +503,46 @@ def test_ntheory_primorial_argument(capsys):
 
 
 def test_ntheory_json(capsys):
-    assert cli.main(["ntheory", "labos", "2310", "4", "--format", "json"]) == 0
+    assert cli.main(["ntheory", "labos", "5#", "4", "--format", "json"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep == {"op": "labos", "args": ["2310", "4"], "value": True}
+    assert rep == {"op": "labos", "args": ["5#", "4"], "value": True}
+
+
+@pytest.mark.parametrize("argv", [["totient", "2310"], ["sigma", "6", "1"], ["labos", "2310", "4"]])
+def test_ntheory_decimal_n_exits_2_naming_primorial_form(capsys, argv):
+    assert cli.main(["ntheory", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "l#" in captured.err
 
 
 def test_ntheory_exponent_over_bit_budget_exits_2(capsys):
-    assert cli.main(["ntheory", "labos", "2", "524289"]) == 2
+    assert cli.main(["ntheory", "labos", "1#", "524289"]) == 2
     assert "k=524289" in capsys.readouterr().err
 
 
 def test_ntheory_over_caps_exits_2(capsys):
-    """A prime count over PRIME_COUNT_MAX, or a prime above TRIAL_DIVISOR_MAX squared, exits 2
-    instead of filling memory or dividing for hours."""
+    """A prime count over PRIME_COUNT_MAX exits 2 instead of filling memory."""
     count = str(exactform.PRIME_COUNT_MAX + 1)
     for argv in (["limit-term", count], ["totient", count + "#"], ["labos", count + "#", "1"]):
         assert cli.main(["ntheory", *argv]) == 2
         assert count in capsys.readouterr().err
-    cap = exactform.TRIAL_DIVISOR_MAX
-    prime = str(next(n for n in itertools.count(cap * cap + 1) if is_prime(n)))
-    for argv in (["totient", prime], ["sigma", prime, "1"]):
-        assert cli.main(["ntheory", *argv]) == 2
-        assert str(cap) in capsys.readouterr().err
+
+
+def test_ntheory_sigma_0_of_primorial_with_large_prime_factors(capsys):
+    """sigma_0(295948#) = 2^295948: its largest prime is above 2^22, and it prints all 89,090 digits."""
+    assert cli.main(["ntheory", "sigma", "295948#", "0"]) == 0
+    text = capsys.readouterr().out
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text == f"{2**295948}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_ntheory_prints_past_4300_digits(capsys):
     """totient(3000#) has 11,828 digits, past Python's default limit on int-to-str conversion."""
-    want = analysis.totient(exactform.primorial(3000))
+    want = analysis.primorial_totient(3000)
     limit = sys.get_int_max_str_digits()
     assert cli.main(["ntheory", "totient", "3000#"]) == 0
     text = capsys.readouterr().out
@@ -510,26 +557,13 @@ def test_ntheory_prints_past_4300_digits(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def test_ntheory_parses_past_4300_digits(capsys):
-    """totient(7^5916): a 5,000-digit argument, past Python's default limit on str-to-int conversion."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        text, want = str(7**5916), f"{6 * 7**5915}\n"
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert len(text) == 5000
-    assert cli.main(["ntheory", "totient", text]) == 0
-    assert sys.get_int_max_str_digits() == limit  # lifted for each conversion only
-    assert capsys.readouterr().out == want
-
-
 def test_ntheory_argument_over_digit_cap_exits_2_fast(capsys):
+    """A 200,001-digit k is refused by Python's default 4,300-digit limit on str-to-int conversion."""
     t0 = time.perf_counter()
-    assert cli.main(["ntheory", "totient", "7" * (cli.NTHEORY_DIGITS_MAX + 1)]) == 2
+    assert cli.main(["ntheory", "sigma", "5#", "7" * (cli.NTHEORY_DIGITS_MAX + 1)]) == 2
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
-    assert captured.out == "" and f"{cli.NTHEORY_DIGITS_MAX}-digit cap" in captured.err
+    assert captured.out == "" and "4300" in captured.err
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -1,12 +1,12 @@
 """Exact factored constants: primes, primorials, closed-form volumes."""
 
-import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from oracles import is_prime
+from oracles import is_prime, trial_division_primes
 
+from sepvol import cli
 from sepvol import exactform as xf
 
 
@@ -15,17 +15,8 @@ def test_first_primes():
     assert xf.first_primes(0) == []
 
 
-def _trial_division_primes(n):
-    out, c = [], 2
-    while len(out) < n:
-        if all(c % p for p in out if p * p <= c):
-            out.append(c)
-        c += 1
-    return out
-
-
 def test_first_primes_matches_trial_division():
-    oracle = _trial_division_primes(2000)
+    oracle = trial_division_primes(2000)
     for n in range(2001):
         assert xf.first_primes(n) == oracle[:n]
 
@@ -69,16 +60,15 @@ def test_factorize_roundtrip():
     assert xf.factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
 
 
-def test_factorize_trial_divisor_cap():
-    """A cofactor with no divisor up to TRIAL_DIVISOR_MAX raises once it exceeds the cap squared."""
-    cap = xf.TRIAL_DIVISOR_MAX
-    q = next(n for n in range(cap, 1, -1) if is_prime(n))  # largest prime within the cap
-    assert xf.factorize(q * q) == {q: 2}
-    p = next(n for n in itertools.count(cap * cap + 1) if is_prime(n))
-    with pytest.raises(ValueError, match=str(cap)):
-        xf.factorize(p)
-    with pytest.raises(ValueError):
-        xf.factorize(6 * p)
+@pytest.mark.parametrize("m", [4, 6, 8, 9])
+def test_factorize_roundtrips_every_constant_denominator(m):
+    """The denominator of every constant `sepvol constants` prints splits into primes
+    whose powers multiply back to it."""
+    for _, value in cli._constants_table(m):
+        den = value.coefficient.denominator
+        f = xf.factorize(den)
+        assert math.prod(p**e for p, e in f.items()) == den
+        assert all(is_prime(p) and e >= 1 for p, e in f.items())
 
 
 def test_exact_value_to_real():
