@@ -63,7 +63,7 @@ def primorial_sigma(l: int, k: int) -> int:
     if k < 0:
         raise ValueError("need k >= 0")
     ps = first_primes(l)
-    bits = k * product(ps).bit_length()
+    bits = k * product(ps).bit_length() if k else 0  # sigma_0 = 2^l: no need to build l#
     if bits > SIGMA_BITS:
         raise ValueError(f"k={k} too large: its powers of {l}# need about "
                          f"{bits} bits, over the {SIGMA_BITS}-bit budget")

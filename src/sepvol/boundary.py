@@ -128,8 +128,7 @@ def _root_weight(eval_fn, x: np.ndarray, free: int) -> float:
 
 
 def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int = 0,
-                  free_index: int = DEFAULT_FREE_INDEX, skip: int = qmc.DEFAULT_SKIP,
-                  eval_fn=None, on_row=None) -> float:
+                  free_index: int = DEFAULT_FREE_INDEX, eval_fn=None, on_row=None) -> float:
     """Mean co-area contribution over scrambled-Halton base points.
 
     Bases are scanned max(1, SCAN_ROWS // grid) at a time.  Emits a cumulative
@@ -147,7 +146,7 @@ def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int 
         raise ValueError(f"free_index {free} outside [0, {d})")
     if eval_fn is None:
         eval_fn = _det_eval(m)
-    spec = qmc.ScrambleSpec(seed, skip, base_points)
+    spec = qmc.ScrambleSpec(seed, base_points)
     chunk = max(1, SCAN_ROWS // grid)
     total = 0.0
     n_feasible = 0

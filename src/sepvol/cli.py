@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, boundary, estimator, exactform, qmc, quantum
+from . import analysis, boundary, estimator, exactform, quantum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -21,8 +21,10 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 # Python converts an int to decimal in time quadratic in its length: about 0.7 s
 # at this many digits on 2 cores, against 0.18 s at 100,000.  The cap holds for
-# ntheory's results; its arguments are read under Python's default digit limit.
+# ntheory's results.  Its arguments, at most 7 digits under PRIME_COUNT_MAX and
+# SIGMA_BITS, are capped in characters before int() reads them.
 NTHEORY_DIGITS_MAX = 200_000
+NTHEORY_ARG_CHARS_MAX = 100
 
 
 def _constants_table(m: int):
@@ -120,7 +122,6 @@ def cmd_estimate(args) -> int:
         points=args.points,
         checkpoint_every=args.points if args.checkpoint_every is None else args.checkpoint_every,
         seed=args.seed,
-        skip=args.skip,
         workers=args.workers,
     )
     resuming = bool(args.checkpoint_file) and os.path.exists(args.checkpoint_file)
@@ -150,7 +151,7 @@ def cmd_boundary(args) -> int:
     try:
         boundary.estimate_area(
             args.m, args.points, grid=args.grid, seed=args.seed,
-            free_index=args.free_index, skip=args.skip, on_row=write)
+            free_index=args.free_index, on_row=write)
     finally:
         if writer is not None:
             writer.close()
@@ -223,6 +224,9 @@ def cmd_ntheory(args) -> int:
     fn, arity = _NTHEORY_OPS[args.op]
     if len(args.args) != arity:
         raise ValueError(f"{args.op} takes {arity} argument(s), got {len(args.args)}")
+    if max(map(len, args.args)) > NTHEORY_ARG_CHARS_MAX:
+        raise ValueError(f"{args.op}: an argument is over the {NTHEORY_ARG_CHARS_MAX}-character "
+                         "cap on integer arguments")
     first, *rest = args.args
     if args.op != "limit-term":
         if not first.endswith("#"):
@@ -262,7 +266,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=None,
                    help="row cadence (default: a single final row)")
     p.add_argument("--seed", type=int, default=estimator.DEFAULT_SEED)
-    p.add_argument("--skip", type=int, default=qmc.DEFAULT_SKIP)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="-")
     p.add_argument("--checkpoint-file", default=None)
@@ -277,7 +280,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=boundary.DEFAULT_GRID)
     p.add_argument("--free-index", type=int, default=boundary.DEFAULT_FREE_INDEX)
     p.add_argument("--seed", type=int, default=estimator.DEFAULT_SEED)
-    p.add_argument("--skip", type=int, default=qmc.DEFAULT_SKIP)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_boundary)

@@ -39,7 +39,6 @@ class RunConfig:
     points: int
     checkpoint_every: int
     seed: int
-    skip: int = qmc.DEFAULT_SKIP
     workers: int = 1
 
     def __post_init__(self):
@@ -47,7 +46,7 @@ class RunConfig:
             raise ValueError(f"unsupported dimension m={self.m}")
         if not self.points >= self.checkpoint_every >= 1:
             raise ValueError("need points >= checkpoint_every >= 1")
-        qmc.ScrambleSpec(self.seed, self.skip, self.points)  # rejects a bad seed, skip or index range
+        qmc.ScrambleSpec(self.seed, self.points)  # rejects a bad seed or index range
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -56,10 +55,11 @@ class RunConfig:
         return quantum.forms_for(self.m)
 
     def canonical(self) -> str:
-        # workers excluded: the merge order makes results worker-independent
+        # workers excluded: the merge order makes results worker-independent;
+        # skip= stays, so checkpoints written while the offset was settable still resume
         forms = ";".join(f.label for f in self.forms)
         return (f"m={self.m} points={self.points} checkpoint_every={self.checkpoint_every} "
-                f"seed={self.seed} skip={self.skip} forms={forms}")
+                f"seed={self.seed} skip={qmc.SKIP} forms={forms}")
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
@@ -133,7 +133,7 @@ def _block_ranges(points: int, checkpoint_every: int) -> list[tuple[int, int]]:
 def _compute_block(task: tuple[RunConfig, int, int]) -> tuple:
     """Partial sums of one block: (n, degenerate, sums vector, count_sep)."""
     cfg, start, count = task
-    spec = qmc.ScrambleSpec(cfg.seed, cfg.skip)
+    spec = qmc.ScrambleSpec(cfg.seed)
     pts = qmc.points(spec, cfg.m * cfg.m - 1, start, count)
     dec = param.decode_batch(pts, cfg.m)
     ok = ~dec.degenerate

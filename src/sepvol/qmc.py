@@ -14,8 +14,8 @@ import numpy as np
 
 from .exactform import first_primes
 
-DEFAULT_SKIP = 409
-MAX_INDEX = 2**63 - 1  # points() takes its indices, up to skip + count, as int64
+SKIP = 409  # every stream starts at index SKIP, leaving out the leading points
+MAX_INDEX = 2**63 - 1  # points() takes its indices, up to SKIP + count, as int64
 
 
 @functools.lru_cache(maxsize=256)  # every base of a few seeds; a run keeps one seed
@@ -33,15 +33,12 @@ def permutation_for(seed: int, base: int) -> np.ndarray:
 class ScrambleSpec:
     """Scrambling parameters of a stream of count points; permutations are cached per process."""
 
-    def __init__(self, seed: int, skip: int = DEFAULT_SKIP, count: int = 0):
+    def __init__(self, seed: int, count: int = 0):
         if seed < 0:
             raise ValueError("seed must be nonnegative")
-        if skip < 0:
-            raise ValueError("skip must be nonnegative")
-        if skip + count > MAX_INDEX:
-            raise ValueError(f"skip={skip} plus {count} points passes the last index 2**63 - 1")
+        if SKIP + count > MAX_INDEX:
+            raise ValueError(f"{count} points from index {SKIP} pass the last index 2**63 - 1")
         self.seed = int(seed)
-        self.skip = int(skip)
 
 
 def points(spec: ScrambleSpec, d: int, start: int, count: int) -> np.ndarray:
@@ -51,7 +48,7 @@ def points(spec: ScrambleSpec, d: int, start: int, count: int) -> np.ndarray:
     indices, so its scrambled value is looked up once per run and repeated.
     The digits are added lowest first, the same sums as digit by digit.
     """
-    first = start + spec.skip
+    first = start + SKIP
     last = first + count - 1
     out = np.empty((count, d))
     for j, base in enumerate(first_primes(d)):

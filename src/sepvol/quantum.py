@@ -1,8 +1,9 @@
 """Partial transposes and negativity; a state is PPT when its negativity is 0.
 
 All operations accept a single matrix (m, m) or a batch (..., m, m).  A form
-is a FactorSplit: the tensor factors it transposes and the label of its output
-columns.  At m = 6, block3 transposes the qutrit (the 3x3 tiles) and block2 the qubit.
+is a FactorSplit: the one tensor factor it transposes (either side of a cut
+gives the same spectrum) and its column label.  At m = 6, block3 transposes the
+qutrit (the 3x3 tiles) and block2 the qubit.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ PPT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class FactorSplit:
-    """A partial-transpose form: factor dimensions, the factors transposed, and its label."""
+    """A partial-transpose form: factor dimensions, the one factor transposed, and its label."""
 
     label: str
     dims: tuple[int, ...]
-    transposed: frozenset[int]
+    transposed: int
 
     def __post_init__(self):
-        if not self.transposed or not self.transposed <= set(range(len(self.dims))):
-            raise ValueError(f"invalid transposed factor set {sorted(self.transposed)} "
-                             f"for {len(self.dims)} factors")
+        if not 0 <= self.transposed < len(self.dims):
+            raise ValueError(f"transposed factor {self.transposed} outside "
+                             f"[0, {len(self.dims)}) for dims {self.dims}")
 
     @property
     def decides_separability(self) -> bool:
@@ -35,25 +36,19 @@ class FactorSplit:
 
 
 _FORMS = {
-    4: (FactorSplit("block2", (2, 2), frozenset({1})),),
-    6: (FactorSplit("block3", (2, 3), frozenset({1})),
-        FactorSplit("block2", (3, 2), frozenset({1}))),
-    8: tuple(FactorSplit(f"factors2x2x2t{f}", (2, 2, 2), frozenset({f})) for f in range(3)),
-    9: (FactorSplit("factors3x3t1", (3, 3), frozenset({1})),),
+    4: (FactorSplit("block2", (2, 2), 1),),
+    6: (FactorSplit("block3", (2, 3), 1), FactorSplit("block2", (3, 2), 1)),
+    8: tuple(FactorSplit(f"factors2x2x2t{f}", (2, 2, 2), f) for f in range(3)),
+    9: (FactorSplit("factors3x3t1", (3, 3), 1),),
 }
 DIMENSIONS = frozenset(_FORMS)  # the m every command supports
 
 
 def partial_transpose(rho: np.ndarray, form: FactorSplit) -> np.ndarray:
-    """Transpose the form's selected tensor factors of rho's multi-index."""
-    m = rho.shape[-1]
-    k = len(form.dims)
-    lead = rho.shape[:-2]
-    nl = len(lead)
-    R = rho.reshape(lead + form.dims + form.dims)
-    for f in form.transposed:
-        R = np.swapaxes(R, nl + f, nl + k + f)
-    return R.reshape(lead + (m, m))
+    """Transpose the form's tensor factor of rho's multi-index."""
+    f = rho.ndim - 2 + form.transposed  # its row axis; its column axis is len(dims) past it
+    R = rho.reshape(rho.shape[:-2] + form.dims + form.dims)
+    return np.swapaxes(R, f, f + len(form.dims)).reshape(rho.shape)
 
 
 def forms_for(m: int) -> tuple[FactorSplit, ...]:

@@ -264,7 +264,7 @@ def test_criterion_6_property_suites():
         for f in quantum.forms_for(6))
     _check(bad, "criterion 6 PPT iff zero negativity", ppt_neg_ok, "1e4 samples")
 
-    qubit = quantum.FactorSplit("t0", (2, 3), frozenset({0}))
+    qubit = quantum.FactorSplit("t0", (2, 3), 0)
     a = np.linalg.eigvalsh(quantum.partial_transpose(rho[:200], qubit))
     b = np.linalg.eigvalsh(quantum.partial_transpose(rho[:200], quantum.forms_for(6)[0]))
     _check(bad, "criterion 6 PT spectrum identity", np.abs(a - b).max() < 1e-9,

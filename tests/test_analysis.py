@@ -65,7 +65,7 @@ def test_totient_multiplicative():
         assert analysis.primorial_totient(l) == math.prod(p - 1 for p in trial_division_primes(l))
 
 
-def test_divisor_power_sum():
+def test_primorial_sigma():
     assert analysis.primorial_sigma(2, 1) == 12
     assert analysis.primorial_sigma(3, 0) == 8
     assert analysis.primorial_sigma(1, 2) == 1 + 4
@@ -73,7 +73,7 @@ def test_divisor_power_sum():
     assert analysis.primorial_sigma(4, 3) == (1 + 8) * (1 + 27) * (1 + 125) * (1 + 343)
 
 
-def test_divisor_power_sum_rejects_exponent_over_bit_budget():
+def test_primorial_sigma_rejects_exponent_over_bit_budget():
     """k * bit_length(l#) above SIGMA_BITS raises before any power is taken."""
     k = analysis.SIGMA_BITS // 2 + 1  # 1# = 2 has bit length 2
     for fn in (analysis.primorial_sigma, analysis.labos_check):
@@ -82,7 +82,7 @@ def test_divisor_power_sum_rejects_exponent_over_bit_budget():
     assert analysis.labos_check(1, 65537)  # 2 * 65537 bits stays allowed
 
 
-def test_divisor_power_sum_multiplicative():
+def test_primorial_sigma_multiplicative():
     """sigma_k(l#) = prod(1 + p^k) over the first l primes, found here by trial division, for l <= 20."""
     for l in range(21):
         ps = trial_division_primes(l)

@@ -23,7 +23,7 @@ def _scan(eval_fn, base, grid=boundary.DEFAULT_GRID, free=3):
     return roots, skipped
 
 
-def test_scan_roots_linear_surface():
+def test_scan_chunk_linear_surface():
     ev = _flat_eval(lambda p: 0.3 + 0.2 * p[:, 0])
     roots, skipped = _scan(ev, np.full(14, 0.5))
     assert skipped == 0
@@ -34,7 +34,7 @@ def test_scan_roots_linear_surface():
     assert w == pytest.approx(np.sqrt(1.04), rel=1e-4)
 
 
-def test_scan_roots_multiple_crossings():
+def test_scan_chunk_multiple_crossings():
     def ev(pts):
         return np.cos(3 * np.pi * pts[:, 3]), np.ones(pts.shape[0])
     roots, _ = _scan(ev, np.full(14, 0.5))
@@ -45,7 +45,7 @@ def test_scan_roots_multiple_crossings():
         assert w == pytest.approx(1.0, rel=1e-6)
 
 
-def test_scan_roots_mixture_family_crossing():
+def test_scan_chunk_mixture_family_crossing():
     """Bell/maximally-mixed mixture: det of the partial transpose changes
     sign exactly where the smallest eigenvalue (1 - 3t)/4 hits zero."""
     def ev(pts):
@@ -56,13 +56,13 @@ def test_scan_roots_mixture_family_crossing():
     assert roots[0][0] == pytest.approx(1 / 3, abs=1e-11)
 
 
-def test_scan_roots_infeasible_line():
+def test_scan_chunk_infeasible_line():
     def ev(pts):
         return np.ones(pts.shape[0]), np.ones(pts.shape[0])
     assert _scan(ev, np.full(14, 0.5)) == ([], 0)
 
 
-def test_scan_roots_counts_skipped_nodes():
+def test_scan_chunk_counts_skipped_nodes():
     def ev(pts, nan_at=lambda t: t > 0.9):
         f = pts[:, 3] - 0.5
         f[nan_at(pts[:, 3])] = np.nan
@@ -136,8 +136,8 @@ def test_estimate_area_validation():
     for grid in (0, 1, boundary.GRID_MAX + 1):
         with pytest.raises(ValueError, match="grid"):
             boundary.estimate_area(4, 10, grid=grid, eval_fn=lambda p: p)
-    with pytest.raises(ValueError, match="skip"):
-        boundary.estimate_area(4, 10, skip=2**63 - 1, eval_fn=lambda p: p)
+    with pytest.raises(ValueError, match="last index"):
+        boundary.estimate_area(4, 2**63 - 1, eval_fn=lambda p: p)
 
 
 def test_estimate_area_synthetic_surface():

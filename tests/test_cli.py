@@ -350,10 +350,10 @@ def test_estimate_checkpoint_every_0_exits_2(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_estimate_negative_skip_leaves_out_untouched(tmp_path):
+def test_estimate_points_past_last_index_leave_out_untouched(tmp_path):
     out = tmp_path / "rows.csv"
     out.write_text("n,est_D\n1000,0.5\n")
-    assert cli.main(["estimate", "--m", "4", "--points", "1000", "--skip", "-1",
+    assert cli.main(["estimate", "--m", "4", "--points", str(2**63 - 1),
                      "--out", str(out)]) == 2
     assert out.read_text() == "n,est_D\n1000,0.5\n"
 
@@ -410,7 +410,7 @@ def test_boundary_grid_at_cap_exits_0(tmp_path):
 
 @pytest.mark.parametrize("option, value", [("--grid", "1"), ("--grid", "1025"), ("--m", "5"),
                                            ("--free-index", "99"), ("--points", "0"),
-                                           ("--skip", "-1"), ("--skip", str(2**63 - 1))])
+                                           ("--points", str(2**63 - 1))])
 def test_boundary_bad_input_leaves_out_untouched(tmp_path, option, value):
     out = tmp_path / "area.csv"
     out.write_text("bases,feasible,roots,area\n512,40,41,9.5\n")
@@ -558,12 +558,23 @@ def test_ntheory_prints_past_4300_digits(capsys):
 
 
 def test_ntheory_argument_over_digit_cap_exits_2_fast(capsys):
-    """A 200,001-digit k is refused by Python's default 4,300-digit limit on str-to-int conversion."""
+    """A 200,001-digit k is refused by the CLI's own cap on integer arguments."""
     t0 = time.perf_counter()
     assert cli.main(["ntheory", "sigma", "5#", "7" * (cli.NTHEORY_DIGITS_MAX + 1)]) == 2
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
-    assert captured.out == "" and "4300" in captured.err
+    assert captured.out == "" and f"{cli.NTHEORY_ARG_CHARS_MAX}-character cap" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["sigma", "2#", "7" * 5000], ["sigma", "7" * 5000 + "#", "1"],
+                                  ["limit-term", "7" * 5000], ["labos", "5#", "7" * 4301]])
+def test_ntheory_argument_past_python_digit_limit_names_cli_cap(capsys, argv):
+    """Past Python's 4,300-digit str-to-int limit, the message names the CLI's cap, not
+    set_int_max_str_digits, which a command-line user cannot call."""
+    assert cli.main(["ntheory", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "set_int_max_str_digits" not in err
+    assert f"{cli.NTHEORY_ARG_CHARS_MAX}-character cap" in err
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

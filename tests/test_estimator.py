@@ -18,12 +18,10 @@ def test_run_config_validation():
         estimator.RunConfig(4, 100, 0, seed=0)
     with pytest.raises(ValueError):
         estimator.RunConfig(4, 100, 10, seed=0, workers=0)
-    with pytest.raises(ValueError):
-        estimator.RunConfig(4, 100, 10, seed=0, skip=-1)
     with pytest.raises(ValueError, match="seed"):
         estimator.RunConfig(4, 100, 10, seed=-1)
-    with pytest.raises(ValueError, match="skip"):
-        estimator.RunConfig(4, 100, 10, seed=0, skip=2**63 - 8)
+    with pytest.raises(ValueError, match="last index"):
+        estimator.RunConfig(4, 2**63 - 1, 10, seed=0)
 
 
 def _accepts(fn, m):

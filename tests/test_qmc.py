@@ -1,4 +1,4 @@
-"""Scrambled Halton sequence: radical inverses, scrambling, skip."""
+"""Scrambled Halton sequence: radical inverses, scrambling, the leading offset."""
 
 import numpy as np
 import pytest
@@ -23,39 +23,35 @@ def test_radical_inverse_base3():
 
 
 def test_points_match_radical_inverse():
-    spec = qmc.ScrambleSpec(7, skip=0)
+    spec = qmc.ScrambleSpec(7)
     pts = qmc.points(spec, 3, 4, 8)
     for j, base in enumerate([2, 3, 5]):
         perm = qmc.permutation_for(spec.seed, base)
         for i in range(8):
-            assert pts[i, j] == pytest.approx(radical_inverse(4 + i, base, perm))
+            assert pts[i, j] == pytest.approx(radical_inverse(qmc.SKIP + 4 + i, base, perm))
 
 
-@pytest.mark.parametrize("skip, start, count", [
-    (0, 0, 0), (409, 0, 0), (0, 0, 1), (409, 17, 1),
-    (0, 1990, 1200),             # across 2^11, 3^7, 5^5, 7^4, 13^3 and 47^2
-    (2**62 - 2, 0, 4),           # across 2^62, one run far longer than the count
-    (qmc.MAX_INDEX - 40, 30, 10),  # skip + start + count at MAX_INDEX
+@pytest.mark.parametrize("start, count", [
+    (0, 0), (0, 1), (17, 1),
+    (1990 - qmc.SKIP, 1200),        # indices across 2^11, 3^7, 5^5, 7^4, 13^3 and 47^2
+    (2**62 - 2 - qmc.SKIP, 4),      # across 2^62, one run far longer than the count
+    (qmc.MAX_INDEX - 10 - qmc.SKIP, 10),  # SKIP + start + count at MAX_INDEX
 ])
-def test_points_match_radical_inverse_bytes(skip, start, count):
+def test_points_match_radical_inverse_bytes(start, count):
     """points() has the bytes of the digit-by-digit radical inverse, run edges included."""
     d = 15
-    spec = qmc.ScrambleSpec(7, skip=skip, count=start + count)
+    spec = qmc.ScrambleSpec(7, count=start + count)
     perms = [qmc.permutation_for(7, base) for base in first_primes(d)]
-    want = np.array([[radical_inverse(skip + start + i, perm.size, perm) for perm in perms]
+    want = np.array([[radical_inverse(qmc.SKIP + start + i, perm.size, perm) for perm in perms]
                      for i in range(count)]).reshape(count, d)
     assert qmc.points(spec, d, start, count).tobytes() == want.tobytes()
 
 
-def test_skip_offsets_the_sequence():
-    a = qmc.points(qmc.ScrambleSpec(3, skip=17), 4, 0, 10)
-    b = qmc.points(qmc.ScrambleSpec(3, skip=0), 4, 17, 10)
-    assert np.array_equal(a, b)
-
-
 def test_default_skip():
-    assert qmc.DEFAULT_SKIP == 409
-    assert qmc.ScrambleSpec(0).skip == 409
+    """Every stream leaves out the sequence's first 409 points."""
+    assert qmc.SKIP == 409
+    perm = qmc.permutation_for(3, 2)
+    assert qmc.points(qmc.ScrambleSpec(3), 1, 0, 1)[0, 0] == radical_inverse(409, 2, perm)
 
 
 def test_permutation_properties():
@@ -105,11 +101,6 @@ def test_scrambled_marginals_uniform():
         x = np.sort(pts[:, j])
         sup = max(np.abs(x - grid).max(), np.abs(x - grid + 1 / n).max())
         assert sup < 0.02
-
-
-def test_negative_skip_rejected():
-    with pytest.raises(ValueError):
-        qmc.ScrambleSpec(0, skip=-1)
 
 
 def test_negative_seed_rejected():

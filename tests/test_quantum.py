@@ -10,9 +10,9 @@ QUBIT_QUBIT = quantum.forms_for(4)[0]
 QUBIT_QUTRIT = quantum.forms_for(6)[0]  # transposes the qutrit
 
 
-def _split(*transposed):
-    """A (2, 3) split transposing the given factors."""
-    return quantum.FactorSplit("t", (2, 3), frozenset(transposed))
+def _split(transposed):
+    """A (2, 3) split transposing the given factor."""
+    return quantum.FactorSplit("t", (2, 3), transposed)
 
 
 def test_block_partial_transpose_4x4():
@@ -38,7 +38,6 @@ def test_partial_transpose_on_kronecker_products():
     assert np.array_equal(quantum.partial_transpose(rho, QUBIT_QUTRIT), np.kron(A, B.T))
     assert np.array_equal(quantum.partial_transpose(rho, _split(1)), np.kron(A, B.T))
     assert np.array_equal(quantum.partial_transpose(rho, _split(0)), np.kron(A.T, B))
-    assert np.array_equal(quantum.partial_transpose(rho, _split(0, 1)), rho.T)
 
 
 def test_partial_transpose_is_an_involution():
@@ -89,19 +88,19 @@ def test_product_state_is_ppt():
 
 def test_forms_for():
     def splits(m):
-        return [(f.dims, set(f.transposed)) for f in quantum.forms_for(m)]
-    assert splits(4) == [((2, 2), {1})]
-    assert splits(6) == [((2, 3), {1}), ((3, 2), {1})]
-    assert splits(8) == [((2, 2, 2), {0}), ((2, 2, 2), {1}), ((2, 2, 2), {2})]
-    assert splits(9) == [((3, 3), {1})]
+        return [(f.dims, f.transposed) for f in quantum.forms_for(m)]
+    assert splits(4) == [((2, 2), 1)]
+    assert splits(6) == [((2, 3), 1), ((3, 2), 1)]
+    assert splits(8) == [((2, 2, 2), 0), ((2, 2, 2), 1), ((2, 2, 2), 2)]
+    assert splits(9) == [((3, 3), 1)]
     with pytest.raises(ValueError):
         quantum.forms_for(5)
 
 
 def test_factor_split_validation():
-    """A split rejects an empty or out-of-range factor set when built; dims that do not fit rho raise."""
+    """A split rejects an out-of-range factor when built; dims that do not fit rho raise."""
     with pytest.raises(ValueError):
-        _split()
+        _split(-1)
     with pytest.raises(ValueError):
         _split(2)
     with pytest.raises(ValueError):
@@ -127,3 +126,36 @@ def test_ppt_iff_zero_negativity_on_sampled_states():
         ppt = is_ppt(rho, form)
         neg = quantum.negativity(rho, form)
         assert np.array_equal(ppt, neg == 0.0)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9])
+def test_states_in_the_gurvits_barnum_ball_have_zero_negativity(m):
+    """Every state with tr rho^2 <= 1/(m - 1) is separable across every cut
+    (Gurvits and Barnum, PRA 66, 062311), so each form's negativity is 0 there.
+
+    Each decoded state is mixed with I/m to 0.99 of the largest weight that keeps
+    the mixture in the ball.
+    """
+    dec = param.decode_batch(qmc.points(qmc.ScrambleSpec(21), m * m - 1, 0, 2000), m)
+    rho = dec.rho[~dec.degenerate]
+    purity = np.einsum("nij,nji->n", rho, rho).real
+    eps = 0.99 * np.sqrt(1 / (m * (m - 1) * (purity - 1 / m)))[:, None, None]
+    mixed = (1 - eps) * np.eye(m) / m + eps * rho
+    assert np.einsum("nij,nji->n", mixed, mixed).real.max() <= 1 / (m - 1)
+    for form in quantum.forms_for(m):
+        assert np.all(quantum.negativity(mixed, form) == 0.0), form.label
+
+
+@pytest.mark.parametrize("m", [4, 9])
+@pytest.mark.parametrize("p", [0.0, 0.2, "1/(d+1)", 0.5, 1.0])
+def test_isotropic_state_negativity_closed_form(m, p):
+    """p |Phi+><Phi+| + (1 - p) I/d^2 has negativity d(d - 1)/2 * max(0, p/d - (1 - p)/d^2):
+    its partial transpose is p F/d + (1 - p) I/d^2 with F the swap, whose -1 eigenspace
+    has dimension d(d - 1)/2.  At p = 1/(d + 1) the negativity turns on."""
+    d = int(np.sqrt(m))
+    p = 1 / (d + 1) if p == "1/(d+1)" else p
+    phi = np.eye(d).reshape(m) / np.sqrt(d)
+    rho = p * np.outer(phi, phi) + (1 - p) * np.eye(m) / m
+    want = d * (d - 1) / 2 * max(0.0, p / d - (1 - p) / d**2)
+    (form,) = quantum.forms_for(m)
+    assert abs(quantum.negativity(rho, form) - want) <= 1e-14
