@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import multiprocessing as mp
 import os
 from dataclasses import dataclass
@@ -117,17 +118,14 @@ class SampleAccumulator:
                              est_V_sep, est_P, mean_neg, mean_ln, self.degenerate)
 
 
-def _block_ranges(points: int, checkpoint_every: int) -> list[tuple[int, int]]:
-    # boundaries at every BLOCK and checkpoint multiple, so checkpoints land
-    # exactly between blocks for any worker count
-    out = []
-    s = 0
-    while s < points:
-        e = min((s // BLOCK + 1) * BLOCK,
-                (s // checkpoint_every + 1) * checkpoint_every, points)
-        out.append((s, e - s))
-        s = e
-    return out
+def _block_ranges(start: int, points: int, checkpoint_every: int):
+    """(start, count) of each block from row `start` on, cut at every BLOCK and checkpoint
+    multiple: checkpoints land between blocks, and a resumed walk is the whole run's suffix."""
+    while start < points:
+        end = min((start // BLOCK + 1) * BLOCK,
+                  (start // checkpoint_every + 1) * checkpoint_every, points)
+        yield start, end - start
+        start = end
 
 
 def _compute_block(task: tuple[RunConfig, int, int]) -> tuple:
@@ -164,7 +162,7 @@ def save_checkpoint(path: str, cfg: RunConfig, acc: SampleAccumulator):
 
 
 def load_checkpoint(path: str, cfg: RunConfig) -> SampleAccumulator:
-    """Accumulator saved by save_checkpoint; ConfigMismatchError if the file is foreign or damaged."""
+    """Accumulator saved by save_checkpoint; ConfigMismatchError if foreign, damaged or off cfg's rows."""
     with open(path) as fh:
         text = fh.read()
     fields = dict(line.partition(" ")[::2] for line in text.splitlines())
@@ -188,6 +186,8 @@ def load_checkpoint(path: str, cfg: RunConfig) -> SampleAccumulator:
     except (KeyError, ValueError) as err:
         raise ConfigMismatchError(f"damaged checkpoint {path}: {err!r}") from err
     acc.sums, acc.count_sep = sums, count_sep
+    if not 0 <= acc.n <= cfg.points or (acc.n < cfg.points and acc.n % cfg.checkpoint_every):
+        raise ConfigMismatchError(f"checkpoint {path} holds n={acc.n}, not a row of this run")
     return acc
 
 
@@ -200,14 +200,13 @@ def run(cfg: RunConfig, checkpoint_path: str | None = None, on_row=None):
     checkpoint file resumes the run at its last row.
     """
     acc = SampleAccumulator(len(cfg.forms))
-    all_blocks = _block_ranges(cfg.points, cfg.checkpoint_every)
     if checkpoint_path and os.path.exists(checkpoint_path):
         acc = load_checkpoint(checkpoint_path, cfg)
-        if acc.n != cfg.points and acc.n not in {s for s, _ in all_blocks}:
-            raise ConfigMismatchError("checkpoint does not sit on a block boundary")
-    tasks = [(cfg, s, c) for s, c in all_blocks if s >= acc.n]
+    ranges = _block_ranges(acc.n, cfg.points, cfg.checkpoint_every)
+    head = list(itertools.islice(ranges, min(cfg.workers, os.cpu_count() or 1)))
+    tasks = ((cfg, s, c) for s, c in itertools.chain(head, ranges))
     rows = []
-    nproc = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    nproc = len(head)
     with mp.get_context("fork").Pool(nproc) if nproc > 1 else contextlib.nullcontext() as pool:
         for part in pool.imap(_compute_block, tasks) if nproc > 1 else map(_compute_block, tasks):
             acc.merge_block(*part)

@@ -1,7 +1,12 @@
 """Command-line behaviors: output formats, resume, exit codes."""
 
+import contextlib
 import csv
 import json
+import os
+import re
+import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -230,6 +235,52 @@ def test_estimate_resume_after_crash_before_checkpoint_matches_uninterrupted(tmp
     assert len(cut.read_text().splitlines()) == 2 + (fmt == "csv")  # rows 4096 and 8192
     assert cli.main(argv) == 0
     assert cut.read_bytes() == whole.read_bytes()
+
+
+def test_estimate_resume_after_sigkill_matches_uninterrupted(tmp_path):
+    """A run whose process group is killed with SIGKILL after its first checkpoint,
+    pool workers and all, resumes to the --out and checkpoint bytes of a run that
+    never stopped."""
+    args = ["estimate", "--m", "4", "--points", "65536", "--checkpoint-every", "4096",
+            "--workers", "2"]
+    whole, whole_ck = tmp_path / "whole.csv", tmp_path / "whole.ck"
+    assert cli.main(args + ["--out", str(whole), "--checkpoint-file", str(whole_ck)]) == 0
+    out, ck = tmp_path / "out.csv", tmp_path / "state.ck"
+    main = "import sys; from sepvol import cli; sys.exit(cli.main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", main, *args, "--out", str(out), "--checkpoint-file", str(ck)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(argv, env=env, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not ck.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    finally:
+        proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    cfg = estimator.RunConfig(4, 65536, 4096, estimator.DEFAULT_SEED)
+    assert estimator.load_checkpoint(str(ck), cfg).n < 65536  # killed mid-run
+    assert subprocess.run(argv, env=env, timeout=120).returncode == 0
+    assert out.read_bytes() == whole.read_bytes()
+    assert ck.read_bytes() == whole_ck.read_bytes()
+
+
+@pytest.mark.parametrize("n", [-4096, 12288 + 4096])
+def test_estimate_checkpoint_outside_the_run_exits_2(tmp_path, capsys, n):
+    """A checkpoint whose n is no row of the run is refused before --out is touched."""
+    out, ck = tmp_path / "est.csv", tmp_path / "state.ck"
+    argv = ["estimate", "--m", "4", "--points", "12288", "--checkpoint-every", "4096",
+            "--out", str(out), "--checkpoint-file", str(ck)]
+    assert cli.main(argv) == 0
+    ck.write_text(re.sub(r"^n \d+$", f"n {n}", ck.read_text(), flags=re.M))
+    written = out.read_bytes()
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert f"n={n}, not a row of this run" in capsys.readouterr().err
+    assert out.read_bytes() == written
 
 
 def test_estimate_resume_into_out_without_checkpoint_row_exits_2(tmp_path, capsys):

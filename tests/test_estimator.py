@@ -1,6 +1,7 @@
 """Streaming accumulator, deterministic parallel runs, checkpoint/resume."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,12 +82,35 @@ def test_config_identity_golden(m):
 
 
 def test_block_ranges():
-    ranges = estimator._block_ranges(10000, 3000)
+    ranges = list(estimator._block_ranges(0, 10000, 3000))
     assert ranges == [(0, 3000), (3000, 1096), (4096, 1904), (6000, 2192),
                       (8192, 808), (9000, 1000)]
     assert all(c <= estimator.BLOCK for _, c in ranges)
     flat = [i for s, c in ranges for i in range(s, s + c)]
     assert flat == list(range(10000))
+
+
+def _listed_block_ranges(points, checkpoint_every):
+    """Oracle: the whole run's blocks as one list, cut at every BLOCK and checkpoint multiple."""
+    out, s = [], 0
+    while s < points:
+        e = min((s // estimator.BLOCK + 1) * estimator.BLOCK,
+                (s // checkpoint_every + 1) * checkpoint_every, points)
+        out.append((s, e - s))
+        s = e
+    return out
+
+
+@pytest.mark.parametrize("checkpoint_every", [1000, 1024, 4096, 8192, 10000])
+def test_block_ranges_from_every_row_are_the_whole_walks_suffix(checkpoint_every):
+    """Resumed at any row, the walk yields exactly the blocks the whole run has left."""
+    points = 5 * estimator.BLOCK + 1234
+    whole = _listed_block_ranges(points, checkpoint_every)
+    first = {s: i for i, (s, _) in enumerate(whole)}
+    for row in [*range(0, points, checkpoint_every), points]:
+        assert row in first or row == points
+        rest = whole[first.get(row, len(whole)):]
+        assert list(estimator._block_ranges(row, points, checkpoint_every)) == rest
 
 
 def _reference_sums(m, n, seed=21):
@@ -199,8 +223,8 @@ def test_worker_count_bit_identity():
     assert runs[1] == runs[2] == runs[8]
 
 
-def test_pool_capped_at_cpu_count(monkeypatch):
-    """More workers than CPUs fork one process per CPU; rows do not change."""
+def _spy_pool_sizes(monkeypatch, cpus):
+    """Patch the CPU count to `cpus`; the returned list collects every forked pool's size."""
     sizes = []
     get_context = estimator.mp.get_context
 
@@ -212,12 +236,26 @@ def test_pool_capped_at_cpu_count(monkeypatch):
             sizes.append(processes)
             return self.ctx.Pool(processes)
 
-    monkeypatch.setattr(estimator.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(estimator.mp, "get_context", _SpyContext)
+    return sizes
+
+
+def test_pool_capped_at_cpu_count(monkeypatch):
+    """More workers than CPUs fork one process per CPU; rows do not change."""
+    sizes = _spy_pool_sizes(monkeypatch, 2)
     rows, acc = estimator.run(estimator.RunConfig(4, 4 * 4096, 4096, 0, workers=64))
     assert sizes == [2]
     serial_rows, serial_acc = estimator.run(estimator.RunConfig(4, 4 * 4096, 4096, 0))
     assert rows == serial_rows and acc.checkpoint() == serial_acc.checkpoint()
+
+
+def test_pool_sized_by_the_blocks_left(monkeypatch):
+    """A 3-block run at workers=8 on 8 CPUs forks 3 processes, not 8."""
+    sizes = _spy_pool_sizes(monkeypatch, 8)
+    rows, _ = estimator.run(estimator.RunConfig(4, 3 * 4096, 4096, 0, workers=8))
+    assert sizes == [3]
+    assert [r.n for r in rows] == [4096, 8192, 12288]
 
 
 def test_checkpoint_save_load_roundtrip(tmp_path):
@@ -256,8 +294,44 @@ def test_checkpoint_rejects_off_boundary_state(tmp_path):
         estimator.run(cfg, path)
 
 
+@pytest.mark.parametrize("points,checkpoint_every,n", [
+    (12288, 4096, -4096),         # -4096 % 4096 == 0, so only the bound refuses it
+    (12288, 4096, 12288 + 4096),  # past the run's end
+    (20000, 10000, 4096),         # a block start, but no row of this cadence
+])
+def test_checkpoint_off_the_runs_rows_is_refused(tmp_path, points, checkpoint_every, n):
+    cfg = estimator.RunConfig(4, points, checkpoint_every, seed=2)
+    acc = estimator.SampleAccumulator(1)
+    acc.n = n
+    path = str(tmp_path / "state.ck")
+    estimator.save_checkpoint(path, cfg, acc)
+    with pytest.raises(estimator.ConfigMismatchError, match=f"n={n},"):
+        estimator.run(cfg, path)
+
+
 class _Interrupt(Exception):
     pass
+
+
+def _interrupt(row):
+    raise _Interrupt()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_largest_runs_reach_their_first_row_without_listing_their_blocks(workers):
+    """A 2**32-point run (2**20 blocks) stopped at its first row peaks under 16 MB
+    traced and leaves no child process; listing every block first took about 200 MB."""
+    cfg = estimator.RunConfig(4, 2**32, 4096, 0, workers=workers)
+    estimator._compute_block((cfg, 0, 1))  # builds the cached plan outside the trace
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Interrupt):
+            estimator.run(cfg, on_row=_interrupt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+    assert estimator.mp.active_children() == []
 
 
 def test_resume_is_bit_identical_to_unbroken_run(tmp_path):
