@@ -156,7 +156,9 @@ def estimate_area(m: int, base_points: int, grid: int = DEFAULT_GRID, seed: int 
     while done < base_points:
         nb = min(chunk, base_points - done)
         bi, roots, _ = _scan_chunk(eval_fn, qmc.points(spec, d - 1, done, nb), grid, free)
-        n_feasible += len(np.unique(bi))
+        # bi comes from np.where on a 2-D array, so it is sorted: count where it steps
+        # (np.unique would import numpy.ma on its first call)
+        n_feasible += int(bi.size > 0) + int(np.count_nonzero(bi[1:] != bi[:-1]))
         n_roots += len(roots)
         for _, wgt in roots:
             total += wgt

@@ -129,21 +129,36 @@ def _block_ranges(start: int, points: int, checkpoint_every: int):
 
 
 def _compute_block(task: tuple[RunConfig, int, int]) -> tuple:
-    """Partial sums of one block: (n, degenerate, sums vector, count_sep)."""
+    """Partial sums of one block: (n, degenerate, sums vector, count_sep).
+
+    The block's points are drawn in one call, then decoded and taken through
+    each form's negativity one param.SLICE of rows at a time, so only one
+    slice's rho and partial-transpose copy are alive.  Decode and negativity
+    work row by row, so the per-row arrays are the bits a whole-block decode
+    gives; the sums are taken once over the whole block, as slice-wise partial
+    sums would round differently.
+    """
     cfg, start, count = task
     spec = qmc.ScrambleSpec(cfg.seed)
     pts = qmc.points(spec, cfg.m * cfg.m - 1, start, count)
-    dec = param.decode_batch(pts, cfg.m)
-    ok = ~dec.degenerate
-    w = dec.w[ok]
-    # negativity is taken matrix by matrix, so taking it on every row and then
-    # dropping the degenerate ones gives the same bits without a copy of rho
-    negs = [quantum.negativity(dec.rho, f)[ok] for f in cfg.forms]
+    w_D, w_H, w_all = np.empty(count), np.empty(count), np.empty(count)
+    degenerate = np.empty(count, dtype=bool)
+    negs_all = [np.empty(count) for _ in cfg.forms]
+    for s in range(0, count, param.SLICE):
+        rows = slice(s, s + param.SLICE)
+        dec = param.decode_batch(pts[rows], cfg.m)
+        w_D[rows], w_H[rows], w_all[rows], degenerate[rows] = dec.w_D, dec.w_H, dec.w, dec.degenerate
+        for neg, f in zip(negs_all, cfg.forms):
+            neg[rows] = quantum.negativity(dec.rho, f)
+        del dec  # the next slice's decode need not sit beside this one's rho
+    ok = ~degenerate
+    w = w_all[ok]
+    negs = [neg[ok] for neg in negs_all]
     ppts = [neg == 0.0 for neg in negs]
-    terms = ([dec.w_D[ok], dec.w_H[ok], w] + [w * ppt for ppt in ppts]
+    terms = ([w_D[ok], w_H[ok], w] + [w * ppt for ppt in ppts]
              + [w * neg for neg in negs] + [w * np.log1p(2.0 * neg) for neg in negs])
     sums = np.array([t.sum() for t in terms])
-    return count, int(dec.degenerate.sum()), sums, np.array([int(p.sum()) for p in ppts])
+    return count, int(degenerate.sum()), sums, np.array([int(p.sum()) for p in ppts])
 
 
 def save_checkpoint(path: str, cfg: RunConfig, acc: SampleAccumulator):

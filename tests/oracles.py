@@ -8,7 +8,7 @@ import itertools
 
 import numpy as np
 
-from sepvol import param, quantum
+from sepvol import param, qmc, quantum
 from sepvol.param import _TINY, DEGENERATE_EPS
 
 
@@ -190,3 +190,19 @@ def decode_reference(pts, m):
         w_H = np.exp(log_wH)
     w_D[degenerate] = 0.0
     return param.DecodedBatch(rho, lam, w_D, w_H, w_D * w_H, degenerate)
+
+
+def compute_block_whole(task):
+    """estimator._compute_block with the whole block decoded at once: rho and each
+    form's partial-transpose copy at full block size, the sums as the program takes them."""
+    cfg, start, count = task
+    pts = qmc.points(qmc.ScrambleSpec(cfg.seed), cfg.m * cfg.m - 1, start, count)
+    dec = param.decode_batch(pts, cfg.m)
+    ok = ~dec.degenerate
+    w = dec.w[ok]
+    negs = [quantum.negativity(dec.rho, f)[ok] for f in cfg.forms]
+    ppts = [neg == 0.0 for neg in negs]
+    terms = ([dec.w_D[ok], dec.w_H[ok], w] + [w * ppt for ppt in ppts]
+             + [w * neg for neg in negs] + [w * np.log1p(2.0 * neg) for neg in negs])
+    sums = np.array([t.sum() for t in terms])
+    return count, int(dec.degenerate.sum()), sums, np.array([int(p.sum()) for p in ppts])

@@ -1,6 +1,10 @@
 """Boundary-area estimation: bracketing, refinement, co-area weights."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +142,18 @@ def test_estimate_area_validation():
             boundary.estimate_area(4, 10, grid=grid, eval_fn=lambda p: p)
     with pytest.raises(ValueError, match="last index"):
         boundary.estimate_area(4, 2**63 - 1, eval_fn=lambda p: p)
+
+
+def test_estimate_area_leaves_numpy_ma_unimported():
+    """Counting feasible bases needs no np.unique, whose first call imports numpy.ma
+    (about 9 ms in a fresh interpreter)."""
+    code = ("import sys; from sepvol import boundary; boundary.estimate_area(4, 2); "
+            "sys.exit('numpy.ma' in sys.modules)")
+    src = str(Path(boundary.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120)
+    assert proc.returncode == 0
 
 
 def test_estimate_area_synthetic_surface():

@@ -237,6 +237,35 @@ def test_estimate_resume_after_crash_before_checkpoint_matches_uninterrupted(tmp
     assert cut.read_bytes() == whole.read_bytes()
 
 
+def test_estimate_resume_reads_the_checkpoint_once(tmp_path, monkeypatch):
+    """A CLI resume, mid-run or of a finished run, parses its checkpoint file once."""
+    argv = ["estimate", "--m", "4", "--points", "12288", "--checkpoint-every", "4096"]
+    whole, out, ck = tmp_path / "whole.csv", tmp_path / "out.csv", str(tmp_path / "state.ck")
+    assert cli.main(argv + ["--out", str(whole)]) == 0
+    argv += ["--out", str(out), "--checkpoint-file", ck]
+
+    def stop_after_first_save(*a):
+        save(*a)
+        raise OSError("stopped")
+
+    save = estimator.save_checkpoint
+    monkeypatch.setattr(estimator, "save_checkpoint", stop_after_first_save)
+    assert cli.main(argv) == 3
+    monkeypatch.undo()
+    load, loads = estimator.load_checkpoint, []
+
+    def spy(*a):
+        loads.append(a)
+        return load(*a)
+
+    monkeypatch.setattr(estimator, "load_checkpoint", spy)
+    for _ in range(2):  # from the 4096 row, then from the finished run's last row
+        loads.clear()
+        assert cli.main(argv) == 0
+        assert len(loads) == 1
+        assert out.read_bytes() == whole.read_bytes()
+
+
 def test_estimate_resume_after_sigkill_matches_uninterrupted(tmp_path):
     """A run whose process group is killed with SIGKILL after its first checkpoint,
     pool workers and all, resumes to the --out and checkpoint bytes of a run that

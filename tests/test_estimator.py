@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import is_ppt
+from oracles import compute_block_whole, is_ppt
 
 from sepvol import estimator, exactform, param, qmc, quantum
 
@@ -162,6 +162,42 @@ def test_accumulate_matches_block_path():
         assert row.est_V_sep[k] == pytest.approx(sep[k] / n, rel=1e-14)
     assert row.mean_neg == pytest.approx(sum(neg) / (len(neg) * cols["w"]), rel=1e-14)
     assert row.mean_logneg == pytest.approx(sum(logneg) / (len(logneg) * cols["w"]), rel=1e-14)
+
+
+def _block_bytes(part):
+    n, degenerate, sums, count_sep = part
+    return n, degenerate, sums.tobytes(), count_sep.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 1000, 1025, 4096])
+@pytest.mark.parametrize("m", [4, 6, 8, 9])
+def test_compute_block_matches_whole_block_decode(m, count):
+    """Decoding a block one param.SLICE at a time gives the bytes of a whole-block decode."""
+    task = (estimator.RunConfig(m, 8192, 8192, seed=0), 5, count)
+    assert _block_bytes(estimator._compute_block(task)) == _block_bytes(compute_block_whole(task))
+
+
+def test_compute_block_with_degenerate_rows_matches_whole_block_decode():
+    task = (estimator.RunConfig(9, 4096, 4096, seed=1), 0, 4096)
+    part = estimator._compute_block(task)
+    assert part[1] > 0  # the block has degenerate rows to drop
+    assert _block_bytes(part) == _block_bytes(compute_block_whole(task))
+
+
+def test_one_points_call_per_block(monkeypatch):
+    """A block draws its points in one call, whatever its number of decode slices."""
+    calls = []
+    points = qmc.points
+
+    def spy(spec, d, start, count):
+        calls.append((start, count))
+        return points(spec, d, start, count)
+
+    monkeypatch.setattr(qmc, "points", spy)
+    cfg = estimator.RunConfig(4, 2 * 4096 + 3000, 3000, seed=0)
+    estimator.run(cfg)
+    assert calls == list(estimator._block_ranges(0, cfg.points, cfg.checkpoint_every))
+    assert max(count for _, count in calls) > param.SLICE
 
 
 def test_accumulate_ppt_sample_counts_separable():
