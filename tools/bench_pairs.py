@@ -57,7 +57,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
-    run = {"seed": seed, "exit": proc.returncode, "stderr": proc.stderr[-2000:] if proc.returncode else "",
+    run = {"seed": seed, "exit": proc.returncode,
+           "stderr": proc.stderr[-2000:] if proc.returncode else "",
            "path": None, "environment": None, "correct": False, "metrics": None}
     if path.is_file():
         doc = json.loads(path.read_text())
