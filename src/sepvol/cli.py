@@ -125,26 +125,17 @@ def cmd_estimate(args) -> int:
         workers=args.workers,
     )
     resuming = bool(args.checkpoint_file) and os.path.exists(args.checkpoint_file)
-    if resuming and args.out != "-" and not os.path.exists(args.out):  # earlier rows would be lost
-        raise ValueError(f"resuming appends to --out, but {args.out} does not exist")
-    # estimator.run reads the checkpoint; --out is cut back to its row before the first write
-    cut_due = resuming and args.out != "-"
-
-    def write(row: estimator.CheckpointRow):
-        nonlocal cut_due
-        if cut_due:
-            # a resumed run's first row is the first multiple of checkpoint_every (or
-            # the last row) past its checkpoint's row, which is a multiple of it
-            every = cfg.checkpoint_every
-            _cut_after_row(args.out, args.format, (row.n - 1) // every * every)
-            cut_due = False
-        writer.write(_estimate_row(row, cfg, args.deviation))
-
+    resume = None
+    if resuming:
+        if args.out != "-" and not os.path.exists(args.out):  # earlier rows would be lost
+            raise ValueError(f"resuming appends to --out, but {args.out} does not exist")
+        resume = estimator.load_checkpoint(args.checkpoint_file, cfg)
+        if args.out != "-":
+            _cut_after_row(args.out, args.format, resume.n)
     writer = _RowWriter(args.out, args.format, append=resuming)
     try:
-        _, acc = estimator.run(cfg, checkpoint_path=args.checkpoint_file, on_row=write)
-        if cut_due:  # the checkpoint held the run's last row, so no row was written
-            _cut_after_row(args.out, args.format, acc.n)
+        estimator.run(cfg, checkpoint_path=args.checkpoint_file, resume=resume,
+                      on_row=lambda row: writer.write(_estimate_row(row, cfg, args.deviation)))
     finally:
         writer.close()
     return EXIT_OK

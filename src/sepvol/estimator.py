@@ -206,17 +206,22 @@ def load_checkpoint(path: str, cfg: RunConfig) -> SampleAccumulator:
     return acc
 
 
-def run(cfg: RunConfig, checkpoint_path: str | None = None, on_row=None):
+def run(cfg: RunConfig, checkpoint_path: str | None = None, on_row=None,
+        resume: SampleAccumulator | None = None):
     """Execute the configured run; returns (rows emitted by this call, final accumulator).
 
     A row is emitted, and with a checkpoint_path the state is saved, at every
     multiple of checkpoint_every and at the end.  Rows are emitted as soon as
     the block that completes them is merged.  An existing compatible
-    checkpoint file resumes the run at its last row.
+    checkpoint file resumes the run at its last row; a caller that has
+    already loaded it passes that state as resume, and the file is not read.
     """
-    acc = SampleAccumulator(len(cfg.forms))
-    if checkpoint_path and os.path.exists(checkpoint_path):
+    if resume is not None:
+        acc = resume
+    elif checkpoint_path and os.path.exists(checkpoint_path):
         acc = load_checkpoint(checkpoint_path, cfg)
+    else:
+        acc = SampleAccumulator(len(cfg.forms))
     ranges = _block_ranges(acc.n, cfg.points, cfg.checkpoint_every)
     head = list(itertools.islice(ranges, min(cfg.workers, os.cpu_count() or 1)))
     tasks = ((cfg, s, c) for s, c in itertools.chain(head, ranges))

@@ -26,16 +26,16 @@ def bench_pairs():
     return module
 
 
-def _run(tmp_path, side, seed, **metrics):
+def _run(tmp_path, side, seed, exit=0, correct=True, **metrics):
     """A run record as run_once makes it, with its result file in run.py's layout."""
     path = tmp_path / f"{side}-{seed}.json"
     env = {k: "x" for k in ("python", "numpy", "blas", "nproc", "commit", "seconds")}
     env.update(workload="estimate-sweep", trace=0, seed=seed)
-    result = {"correct": True, "metrics": {
+    result = {"correct": correct, "metrics": {
         name: {"value": v, "unit": next(m["unit"] for m in SPEC["end_to_end"] if m["name"] == name)}
         for name, v in metrics.items()}}
     path.write_text(json.dumps({"environment": env, "result": result}))
-    return {"seed": seed, "path": str(path), "metrics": metrics}
+    return {"seed": seed, "exit": exit, "correct": correct, "path": str(path), "metrics": metrics}
 
 
 def test_seed_list(bench_pairs):
@@ -52,10 +52,12 @@ def test_compare_keeps_the_sides_apart_and_applies_the_rules(bench_pairs, tmp_pa
                             **{"pts_s.m4": 100.0}) for s in seeds],
             "change": [_run(tmp_path, "change", s, peak_rss_mb=change_rss[s], ok_frac=1.0,
                             **{"pts_s.m4": 70.0}) for s in seeds]}
-    runs["change"].append({"seed": 10, "path": None, "metrics": None})  # a run that wrote no result
+    runs["parent"].append({"seed": 10, "exit": 1, "correct": False, "path": None,
+                           "metrics": None})  # a run that wrote no result
     pairs = {p["name"]: p for p in bench_pairs.compare(SPEC, runs)}
     rss = pairs["peak_rss_mb"]
     assert (rss["pairs"], rss["change_wins"], rss["change_losses"]) == (10, 9, 1)
+    assert (rss["parent_failed"], rss["change_failed"]) == (1, 0)
     assert rss["parent_median"] == pytest.approx(69.225)  # not pooled with the change's runs
     assert rss["change_median"] == pytest.approx(62.225)
     assert rss["gain"] and rss["within_bound"]
@@ -74,3 +76,19 @@ def test_a_gain_must_clear_the_parents_spread(bench_pairs, tmp_path):
     rss = bench_pairs.compare(SPEC, runs)[0]
     assert rss["change_wins"] == 10
     assert not rss["gain"]
+
+
+@pytest.mark.parametrize("exit, correct", [(0, False), (1, True)])
+def test_failed_runs_are_left_out_and_deny_a_gain(bench_pairs, tmp_path, exit, correct):
+    """A run that exits non-zero or is not correct is no pair and no part of a median;
+    when the change fails more runs than the parent, it claims no gain."""
+    runs = {"parent": [_run(tmp_path, "parent", s, peak_rss_mb=69.0 + 0.01 * s) for s in range(11)],
+            "change": [_run(tmp_path, "change", s, peak_rss_mb=62.0 + 0.01 * s) for s in range(10)]}
+    runs["change"].append(_run(tmp_path, "change", 10, exit, correct, peak_rss_mb=1.0))
+    rss = bench_pairs.compare(SPEC, runs)[0]
+    assert (rss["pairs"], rss["change_wins"]) == (10, 10)
+    assert (rss["parent_failed"], rss["change_failed"]) == (0, 1)
+    assert rss["change_median"] == pytest.approx(62.045)
+    assert not rss["gain"]
+    runs["parent"][10] = _run(tmp_path, "parent", 10, exit, correct, peak_rss_mb=99.0)
+    assert bench_pairs.compare(SPEC, runs)[0]["gain"]  # as many failures on both sides

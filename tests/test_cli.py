@@ -323,6 +323,33 @@ def test_estimate_resume_into_out_without_checkpoint_row_exits_2(tmp_path, capsy
     assert "n=2000" in capsys.readouterr().err
 
 
+def test_estimate_resume_into_out_without_checkpoint_row_exits_2_before_any_block(
+        tmp_path, capsys, monkeypatch):
+    """With a cadence of several blocks, the refusal still comes before the first block."""
+    every = 3 * estimator.BLOCK
+    ck, out = str(tmp_path / "state.ck"), tmp_path / "est.csv"
+    argv = ["estimate", "--m", "4", "--points", str(2 * every), "--checkpoint-every",
+            str(every), "--out", str(out), "--checkpoint-file", ck]
+
+    def stop_after_first_save(*a):
+        save(*a)
+        raise OSError("stopped")
+
+    save = estimator.save_checkpoint
+    monkeypatch.setattr(estimator, "save_checkpoint", stop_after_first_save)
+    assert cli.main(argv) == 3
+    monkeypatch.undo()
+    out.write_text(out.read_text().splitlines(keepends=True)[0])  # the header only
+    written = out.read_bytes()
+    blocks = []
+    monkeypatch.setattr(estimator, "_compute_block", lambda task: blocks.append(task))
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert f"n={every}" in capsys.readouterr().err
+    assert blocks == []
+    assert out.read_bytes() == written
+
+
 def test_estimate_resume_into_missing_out_exits_2(tmp_path, capsys):
     ck = str(tmp_path / "state.ck")
     argv = ["estimate", "--m", "4", "--points", "2000", "--checkpoint-every",

@@ -7,18 +7,22 @@
 For every workload and seed, each side runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` from
 its own checkout, one right after the other; the side that runs first
-alternates from seed to seed.  T is BENCHMARK.json's ``run_seconds`` unless
-``--seconds`` is given.  Only end-to-end runs are made: the per-layer metrics
+alternates from seed to seed.  T is BENCHMARK.json's ``run_seconds``, the
+same for both sides.  Only end-to-end runs are made: the per-layer metrics
 carry no bound.
 
-Each side is summarized on its own with perfbench/summarize.py, so the two
-commits' runs are never pooled into one median.  Per end-to-end metric of
-BENCHMARK.json, ``pairs`` holds:
+A run counts only if it exits 0 and its result is ``correct``; the others are
+counted as failed.  Each side's counted runs are summarized on their own with
+perfbench/summarize.py, so the two commits' runs are never pooled into one
+median, and a pair is a seed where both sides' runs count.  Per end-to-end
+metric of BENCHMARK.json, ``pairs`` holds:
 
+* ``parent_failed`` / ``change_failed``: each side's failed runs;
 * ``change_wins`` / ``change_losses``: the seeds where the change reads better
   / worse than the parent in the metric's direction; ties count for neither;
-* ``gain``: the change wins at least nine tenths of the pairs, and its median
-  is better than the parent's by more than the parent's interquartile range;
+* ``gain``: the change fails no more runs than the parent, wins at least nine
+  tenths of the pairs, and its median is better than the parent's by more
+  than the parent's interquartile range;
 * ``within_bound``: the change's median is worse than the parent's by no more
   than the metric's bound, as a share of the parent's median.
 
@@ -70,11 +74,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def compare(spec: dict, runs: dict) -> list[dict]:
     """Per end-to-end metric: each side's median and quartiles, pair wins and the two rules."""
+    counted = {side: [r for r in runs[side] if r["exit"] == 0 and r["correct"]] for side in SIDES}
+    failed = {side: len(runs[side]) - len(counted[side]) for side in SIDES}
     sides = {}
     for side in SIDES:
-        paths = [r["path"] for r in runs[side] if r["path"]]
+        paths = [r["path"] for r in counted[side]]
         sides[side] = {m["name"]: m for g in summarize.summarize(paths) for m in g["metrics"]}
-    values = {side: {r["seed"]: r["metrics"] for r in runs[side] if r["metrics"]} for side in SIDES}
+    values = {side: {r["seed"]: r["metrics"] for r in counted[side]} for side in SIDES}
     seeds = sorted(set(values["parent"]) & set(values["change"]))
     out = []
     for metric in spec["end_to_end"]:
@@ -87,11 +93,13 @@ def compare(spec: dict, runs: dict) -> list[dict]:
         gap = sign * (c["median"] - p["median"])
         out.append({"name": name, "unit": metric["unit"], "better": metric["better"],
                     "bound": metric["bound"], "pairs": len(seeds),
+                    "parent_failed": failed["parent"], "change_failed": failed["change"],
                     "change_wins": wins, "change_losses": losses,
                     "parent_median": p["median"], "parent_q1": p["q1"], "parent_q3": p["q3"],
                     "change_median": c["median"], "change_q1": c["q1"], "change_q3": c["q3"],
                     "ratio": c["median"] / p["median"] if p["median"] else None,
-                    "gain": bool(seeds) and wins >= 0.9 * len(seeds) and gap > p["q3"] - p["q1"],
+                    "gain": (failed["change"] <= failed["parent"] and bool(seeds)
+                             and wins >= 0.9 * len(seeds) and gap > p["q3"] - p["q1"]),
                     "within_bound": -gap <= metric["bound"] * abs(p["median"])})
     return out
 
@@ -102,12 +110,11 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--workload", action="append", required=True, help="repeat for several")
     ap.add_argument("--seeds", type=seed_list, required=True, help="e.g. 2301-2310")
-    ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
     ap.add_argument("--note", default="", help="what the change does, kept in the file")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {"note": args.note, "seconds": seconds, "seeds": args.seeds,
            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
