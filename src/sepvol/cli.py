@@ -59,6 +59,11 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
+def _row_line(record: dict, fmt: str) -> str:
+    """One record as an output line, without its newline."""
+    return json.dumps(record) if fmt == "json" else ",".join(str(v) for v in record.values())
+
+
 class _RowWriter:
     """Streams name -> value records to a CSV or JSON-lines sink, one flush per row.
     The CSV header is the first record's names, unless appending to an existing file."""
@@ -70,13 +75,10 @@ class _RowWriter:
         self.header_due = fmt == "csv" and not (append and self.owns)
 
     def write(self, record: dict):
-        if self.fmt == "json":
-            line = json.dumps(record)
-        else:
-            line = ",".join(str(v) for v in record.values())
-            if self.header_due:
-                line = ",".join(record) + "\n" + line
-                self.header_due = False
+        line = _row_line(record, self.fmt)
+        if self.header_due:
+            line = ",".join(record) + "\n" + line
+            self.header_due = False
         print(line, file=self.fh, flush=True)
 
     def close(self):
@@ -101,19 +103,19 @@ def _estimate_row(row: estimator.CheckpointRow, cfg: estimator.RunConfig, deviat
     return rec
 
 
-def _cut_after_row(path: str, fmt: str, n: int):
-    """Drop what follows the row at n in an estimate output.  A crash between a row
-    and its checkpoint leaves rows past the checkpoint's n; the resumed run writes
-    them again, bit for bit."""
-    prefix = (f"{n}," if fmt == "csv" else json.dumps({"n": n})[:-1] + ",").encode()
+def _cut_after_row(path: str, line: str) -> bool:
+    """Drop what follows the first line equal to `line`; False if there is none.  A crash
+    between a row and its checkpoint leaves rows past that row, which the resumed run
+    writes again bit for bit; the output of another run holds no such line."""
+    target = (line + "\n").encode()
     with open(path, "r+b") as fh:
         end = 0
-        for line in fh:
-            end += len(line)
-            if line.startswith(prefix):
+        for have in fh:
+            end += len(have)
+            if have == target:
                 fh.truncate(end)
-                return
-    raise ValueError(f"{path} holds no {fmt} row at n={n}, where the checkpoint resumes")
+                return True
+    return False
 
 
 def cmd_estimate(args) -> int:
@@ -124,15 +126,16 @@ def cmd_estimate(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    resuming = bool(args.checkpoint_file) and os.path.exists(args.checkpoint_file)
     resume = None
-    if resuming:
+    if args.checkpoint_file and os.path.exists(args.checkpoint_file):
         if args.out != "-" and not os.path.exists(args.out):  # earlier rows would be lost
             raise ValueError(f"resuming appends to --out, but {args.out} does not exist")
         resume = estimator.load_checkpoint(args.checkpoint_file, cfg)
-        if args.out != "-":
-            _cut_after_row(args.out, args.format, resume.n)
-    writer = _RowWriter(args.out, args.format, append=resuming)
+        row = _row_line(_estimate_row(resume.checkpoint(), cfg, args.deviation), args.format)
+        if args.out != "-" and not _cut_after_row(args.out, row):
+            raise ValueError(f"{args.out} holds no row of this run at n={resume.n}, "
+                             "where the checkpoint resumes")
+    writer = _RowWriter(args.out, args.format, append=resume is not None)
     try:
         estimator.run(cfg, checkpoint_path=args.checkpoint_file, resume=resume,
                       on_row=lambda row: writer.write(_estimate_row(row, cfg, args.deviation)))

@@ -201,7 +201,7 @@ def load_checkpoint(path: str, cfg: RunConfig) -> SampleAccumulator:
     except (KeyError, ValueError) as err:
         raise ConfigMismatchError(f"damaged checkpoint {path}: {err!r}") from err
     acc.sums, acc.count_sep = sums, count_sep
-    if not 0 <= acc.n <= cfg.points or (acc.n < cfg.points and acc.n % cfg.checkpoint_every):
+    if not 0 < acc.n <= cfg.points or (acc.n < cfg.points and acc.n % cfg.checkpoint_every):
         raise ConfigMismatchError(f"checkpoint {path} holds n={acc.n}, not a row of this run")
     return acc
 
@@ -212,16 +212,11 @@ def run(cfg: RunConfig, checkpoint_path: str | None = None, on_row=None,
 
     A row is emitted, and with a checkpoint_path the state is saved, at every
     multiple of checkpoint_every and at the end.  Rows are emitted as soon as
-    the block that completes them is merged.  An existing compatible
-    checkpoint file resumes the run at its last row; a caller that has
-    already loaded it passes that state as resume, and the file is not read.
+    the block that completes them is merged.  The run goes on from resume, an
+    accumulator from load_checkpoint, or else starts at n = 0; checkpoint_path
+    is only written, so a file already there is overwritten, never resumed.
     """
-    if resume is not None:
-        acc = resume
-    elif checkpoint_path and os.path.exists(checkpoint_path):
-        acc = load_checkpoint(checkpoint_path, cfg)
-    else:
-        acc = SampleAccumulator(len(cfg.forms))
+    acc = SampleAccumulator(len(cfg.forms)) if resume is None else resume
     ranges = _block_ranges(acc.n, cfg.points, cfg.checkpoint_every)
     head = list(itertools.islice(ranges, min(cfg.workers, os.cpu_count() or 1)))
     tasks = ((cfg, s, c) for s, c in itertools.chain(head, ranges))

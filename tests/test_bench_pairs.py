@@ -92,3 +92,13 @@ def test_failed_runs_are_left_out_and_deny_a_gain(bench_pairs, tmp_path, exit, c
     assert not rss["gain"]
     runs["parent"][10] = _run(tmp_path, "parent", 10, exit, correct, peak_rss_mb=99.0)
     assert bench_pairs.compare(SPEC, runs)[0]["gain"]  # as many failures on both sides
+
+
+def test_two_won_pairs_are_no_gain(bench_pairs, tmp_path):
+    """A gain needs ten pairs: two of two won by 7 MB claim none."""
+    runs = {"parent": [_run(tmp_path, "parent", s, peak_rss_mb=69.0 + 0.05 * s) for s in range(2)],
+            "change": [_run(tmp_path, "change", s, peak_rss_mb=62.0 + 0.05 * s) for s in range(2)]}
+    rss = bench_pairs.compare(SPEC, runs)[0]
+    assert (rss["pairs"], rss["change_wins"], rss["change_losses"]) == (2, 2, 0)
+    assert rss["change_median"] < rss["parent_median"] - (rss["parent_q3"] - rss["parent_q1"])
+    assert not rss["gain"] and rss["within_bound"]

@@ -350,6 +350,41 @@ def test_estimate_resume_into_out_without_checkpoint_row_exits_2_before_any_bloc
     assert out.read_bytes() == written
 
 
+@pytest.mark.parametrize("first, resumed", [
+    (["--format", "csv"], ["--format", "csv", "--deviation"]),
+    (["--format", "json"], ["--format", "json", "--deviation"]),
+    (["--seed", "5"], ["--seed", "21"]),
+], ids=["deviation-csv", "deviation-json", "other-seed"])
+def test_estimate_resume_into_out_of_another_run_exits_2_before_any_block(
+        tmp_path, capsys, monkeypatch, first, resumed):
+    """An --out written with the other --deviation setting, or by a run of another seed
+    at the same cadence, holds no line equal to the checkpoint's row: the resume is
+    refused before the first block and leaves --out as it was."""
+    every = estimator.BLOCK
+    base = ["estimate", "--m", "4", "--points", str(3 * every), "--checkpoint-every", str(every)]
+    out, ck = tmp_path / "est.out", str(tmp_path / "state.ck")
+
+    def stop_after_first_save(*a):
+        save(*a)
+        raise OSError("stopped")
+
+    save = estimator.save_checkpoint
+    monkeypatch.setattr(estimator, "save_checkpoint", stop_after_first_save)
+    assert cli.main(base + first + ["--out", str(out),
+                                    "--checkpoint-file", str(tmp_path / "first.ck")]) == 3
+    assert cli.main(base + resumed + ["--out", str(tmp_path / "own.out"),
+                                      "--checkpoint-file", ck]) == 3
+    monkeypatch.undo()
+    written = out.read_bytes()
+    blocks = []
+    monkeypatch.setattr(estimator, "_compute_block", lambda task: blocks.append(task))
+    capsys.readouterr()
+    assert cli.main(base + resumed + ["--out", str(out), "--checkpoint-file", ck]) == 2
+    assert f"n={every}" in capsys.readouterr().err
+    assert blocks == []
+    assert out.read_bytes() == written
+
+
 def test_estimate_resume_into_missing_out_exits_2(tmp_path, capsys):
     ck = str(tmp_path / "state.ck")
     argv = ["estimate", "--m", "4", "--points", "2000", "--checkpoint-every",

@@ -327,10 +327,11 @@ def test_checkpoint_rejects_off_boundary_state(tmp_path):
     path = str(tmp_path / "state.ck")
     estimator.save_checkpoint(path, cfg, acc)
     with pytest.raises(estimator.ConfigMismatchError):
-        estimator.run(cfg, path)
+        estimator.load_checkpoint(path, cfg)
 
 
 @pytest.mark.parametrize("points,checkpoint_every,n", [
+    (12288, 4096, 0),             # save_checkpoint never writes the empty start
     (12288, 4096, -4096),         # -4096 % 4096 == 0, so only the bound refuses it
     (12288, 4096, 12288 + 4096),  # past the run's end
     (20000, 10000, 4096),         # a block start, but no row of this cadence
@@ -342,7 +343,7 @@ def test_checkpoint_off_the_runs_rows_is_refused(tmp_path, points, checkpoint_ev
     path = str(tmp_path / "state.ck")
     estimator.save_checkpoint(path, cfg, acc)
     with pytest.raises(estimator.ConfigMismatchError, match=f"n={n},"):
-        estimator.run(cfg, path)
+        estimator.load_checkpoint(path, cfg)
 
 
 class _Interrupt(Exception):
@@ -385,11 +386,11 @@ def test_resume_is_bit_identical_to_unbroken_run(tmp_path):
 
     with pytest.raises(_Interrupt):
         estimator.run(mk(), path, on_row=interrupter)
-    rest, acc = estimator.run(mk(), path)
+    rest, acc = estimator.run(mk(), path, resume=estimator.load_checkpoint(path, mk()))
     assert delivered + rest == all_rows
     assert acc.n == 12288
-    again, _ = estimator.run(mk(), path)  # completed file: nothing to do
-    assert again == []
+    again, _ = estimator.run(mk(), path, resume=estimator.load_checkpoint(path, mk()))
+    assert again == []  # completed file: nothing to do
 
 
 def test_resume_across_worker_counts_is_bit_identical(tmp_path):
@@ -407,9 +408,29 @@ def test_resume_across_worker_counts_is_bit_identical(tmp_path):
 
     with pytest.raises(_Interrupt):
         estimator.run(mk(2), path, on_row=interrupter)
-    rest, acc = estimator.run(mk(1), path)
+    rest, acc = estimator.run(mk(1), path, resume=estimator.load_checkpoint(path, mk(1)))
     assert delivered + rest == all_rows
     assert acc.checkpoint() == whole.checkpoint()
+
+
+def test_run_does_not_read_its_checkpoint_path(tmp_path):
+    """run(cfg, path) over a checkpoint of the same run starts at n = 0 and overwrites it:
+    only a resume= accumulator resumes."""
+    cfg = estimator.RunConfig(4, 12288, 4096, seed=9)
+    fresh, stale = tmp_path / "fresh.ck", tmp_path / "stale.ck"
+    fresh_rows, _ = estimator.run(cfg, str(fresh))
+
+    def stop_at_second_row(row):
+        if row.n > 4096:
+            raise _Interrupt()
+
+    with pytest.raises(_Interrupt):
+        estimator.run(cfg, str(stale), on_row=stop_at_second_row)
+    assert estimator.load_checkpoint(str(stale), cfg).n == 4096
+    rows, _ = estimator.run(cfg, str(stale))
+    assert [r.n for r in rows] == [4096, 8192, 12288]
+    assert rows == fresh_rows
+    assert stale.read_bytes() == fresh.read_bytes()
 
 
 def test_estimates_stabilize():

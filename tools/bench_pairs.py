@@ -20,9 +20,9 @@ metric of BENCHMARK.json, ``pairs`` holds:
 * ``parent_failed`` / ``change_failed``: each side's failed runs;
 * ``change_wins`` / ``change_losses``: the seeds where the change reads better
   / worse than the parent in the metric's direction; ties count for neither;
-* ``gain``: the change fails no more runs than the parent, wins at least nine
-  tenths of the pairs, and its median is better than the parent's by more
-  than the parent's interquartile range;
+* ``gain``: there are at least ten pairs, the change fails no more runs than
+  the parent, wins at least nine tenths of the pairs, and its median is better
+  than the parent's by more than the parent's interquartile range;
 * ``within_bound``: the change's median is worse than the parent's by no more
   than the metric's bound, as a share of the parent's median.
 
@@ -98,7 +98,7 @@ def compare(spec: dict, runs: dict) -> list[dict]:
                     "parent_median": p["median"], "parent_q1": p["q1"], "parent_q3": p["q3"],
                     "change_median": c["median"], "change_q1": c["q1"], "change_q3": c["q3"],
                     "ratio": c["median"] / p["median"] if p["median"] else None,
-                    "gain": (failed["change"] <= failed["parent"] and bool(seeds)
+                    "gain": (failed["change"] <= failed["parent"] and len(seeds) >= 10
                              and wins >= 0.9 * len(seeds) and gap > p["q3"] - p["q1"]),
                     "within_bound": -gap <= metric["bound"] * abs(p["median"])})
     return out
