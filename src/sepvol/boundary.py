@@ -48,17 +48,20 @@ class AreaRow:
 
 
 def _det_eval(m: int):
-    # default evaluation hook: (points) -> (det of PT, SD weight); the partial
-    # transpose is copied one decode slice of rows at a time, not at full size
+    # default evaluation hook: (points) -> (det of PT, SD weight); the points are
+    # decoded one param.SLICE of rows at a time, so one slice's rho and
+    # partial-transpose copy are alive, not the whole call's
     form = quantum.forms_for(m)[0]
 
     def ev(pts: np.ndarray):
-        dec = param.decode_batch(pts, m)
-        det = np.empty(len(pts))
+        det, w = np.empty(len(pts)), np.empty(len(pts))
         for s in range(0, len(pts), param.SLICE):
             rows = slice(s, s + param.SLICE)
-            det[rows] = np.linalg.det(quantum.partial_transpose(dec.rho[rows], form)).real
-        return det, dec.w
+            dec = param.decode_batch(pts[rows], m)
+            det[rows] = np.linalg.det(quantum.partial_transpose(dec.rho, form)).real
+            w[rows] = dec.w
+            del dec  # the next slice's decode need not sit beside this one's rho
+        return det, w
     return ev
 
 

@@ -141,21 +141,22 @@ def _compute_block(task: tuple[RunConfig, int, int]) -> tuple:
     cfg, start, count = task
     spec = qmc.ScrambleSpec(cfg.seed)
     pts = qmc.points(spec, cfg.m * cfg.m - 1, start, count)
-    w_D, w_H, w_all = np.empty(count), np.empty(count), np.empty(count)
+    w_D, w_H = np.empty(count), np.empty(count)
     degenerate = np.empty(count, dtype=bool)
     negs_all = [np.empty(count) for _ in cfg.forms]
     for s in range(0, count, param.SLICE):
         rows = slice(s, s + param.SLICE)
         dec = param.decode_batch(pts[rows], cfg.m)
-        w_D[rows], w_H[rows], w_all[rows], degenerate[rows] = dec.w_D, dec.w_H, dec.w, dec.degenerate
+        w_D[rows], w_H[rows], degenerate[rows] = dec.w_D, dec.w_H, dec.degenerate
         for neg, f in zip(negs_all, cfg.forms):
             neg[rows] = quantum.negativity(dec.rho, f)
         del dec  # the next slice's decode need not sit beside this one's rho
     ok = ~degenerate
-    w = w_all[ok]
+    w_D, w_H = w_D[ok], w_H[ok]
+    w = w_D * w_H  # the bits of dec.w, which differs only on degenerate rows
     negs = [neg[ok] for neg in negs_all]
     ppts = [neg == 0.0 for neg in negs]
-    terms = ([w_D[ok], w_H[ok], w] + [w * ppt for ppt in ppts]
+    terms = ([w_D, w_H, w] + [w * ppt for ppt in ppts]
              + [w * neg for neg in negs] + [w * np.log1p(2.0 * neg) for neg in negs])
     sums = np.array([t.sum() for t in terms])
     return count, int(degenerate.sum()), sums, np.array([int(p.sum()) for p in ppts])

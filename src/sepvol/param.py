@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 DEGENERATE_EPS = 1e-14
-SLICE = 1024  # rows decoded at a time; rows do not depend on it
+SLICE = 512  # rows decoded at a time; rows do not depend on it (tools/slice_times.py)
 _TINY = 1e-300  # keeps log() finite at coordinate-box corners
 
 

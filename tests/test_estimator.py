@@ -169,10 +169,14 @@ def _block_bytes(part):
     return n, degenerate, sums.tobytes(), count_sep.tobytes()
 
 
-@pytest.mark.parametrize("count", [1, 1000, 1025, 4096])
+@pytest.mark.parametrize("count", [1, 2 * param.SLICE - 24, 2 * param.SLICE + 1, estimator.BLOCK])
 @pytest.mark.parametrize("m", [4, 6, 8, 9])
 def test_compute_block_matches_whole_block_decode(m, count):
-    """Decoding a block one param.SLICE at a time gives the bytes of a whole-block decode."""
+    """Decoding a block one param.SLICE at a time gives the bytes of a whole-block decode.
+
+    The counts are one row, two slices short of 24 rows, two slices and a
+    row, and a whole block.
+    """
     task = (estimator.RunConfig(m, 8192, 8192, seed=0), 5, count)
     assert _block_bytes(estimator._compute_block(task)) == _block_bytes(compute_block_whole(task))
 
