@@ -174,7 +174,7 @@ def _block_bytes(part):
 def test_compute_block_matches_whole_block_decode(m, count):
     """Decoding a block one param.SLICE at a time gives the bytes of a whole-block decode.
 
-    The counts are one row, two slices short of 24 rows, two slices and a
+    The counts are one row, 24 rows short of two slices, two slices and a
     row, and a whole block.
     """
     task = (estimator.RunConfig(m, 8192, 8192, seed=0), 5, count)

@@ -7,11 +7,11 @@ sizes in an order that rotates from round to round, so a slow spell of the
 host falls on all sizes alike.  Each measurement is a fresh process (BLAS
 pinned to one thread) that sets param.SLICE once, as a run does, makes
 WARM untimed calls and then CALLS timed ones, and reports their median.
-Sizes are not switched within one process: there, the heap the other sizes
-left behind moved the smaller sizes' block times by several per cent.  A
+Sizes are not switched within one process: timed that way, the smaller
+sizes read several per cent slower than in a process of their own.  A
 case's cost at a size is the median, over rounds, of its time relative to
-the same round's time at the reference size (the last of --sizes).  Decoded
-rows do not depend on the size, so only time and memory can.  Cases:
+the same round's time at 1024 rows.  Decoded rows do not depend on the
+size, so only time and memory can.  Cases:
 
 * ``block.mM``: one 4096-point estimator block (estimator._compute_block);
 * ``scan.mM``: one 8,192-row call of the default boundary evaluator
@@ -59,37 +59,35 @@ def time_case(case: str, size: int) -> float:
     return statistics.median(times[WARM:])
 
 
-def measure(sizes, rounds: int, cases=CASES) -> dict:
-    """Case -> size -> median over rounds of its time over the reference size's time."""
+def measure(rounds: int) -> dict:
+    """Case -> size -> median over rounds of its time over the same round's time at 1024 rows."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    ratios = {case: {s: [] for s in sizes} for case in cases}
+    ratios = {case: {s: [] for s in SIZES} for case in CASES}
     for r in range(rounds):
-        order = sizes[r % len(sizes):] + sizes[:r % len(sizes)]
-        for case in cases:
+        order = SIZES[r % len(SIZES):] + SIZES[:r % len(SIZES)]
+        for case in CASES:
             took = {}
             for s in order:
                 out = subprocess.run([sys.executable, __file__, "--child", case, str(s)],
                                      env=env, capture_output=True, text=True, check=True)
                 took[s] = float(out.stdout)
-            for s in sizes:
-                ratios[case][s].append(took[s] / took[sizes[-1]])
+            for s in SIZES:
+                ratios[case][s].append(took[s] / took[1024])
     return {case: {s: statistics.median(v) for s, v in by.items()} for case, by in ratios.items()}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--rounds", type=int, default=8)
-    ap.add_argument("--sizes", type=lambda t: tuple(int(x) for x in t.split(",")), default=SIZES,
-                    help="comma-separated; the last is the reference (default %(default)s)")
     ap.add_argument("--child", nargs=2, metavar=("CASE", "SIZE"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
         print(time_case(args.child[0], int(args.child[1])))
         return 0
-    table = measure(args.sizes, args.rounds)
-    print("case".ljust(10) + "".join(f"{s:>8}" for s in args.sizes))
+    table = measure(args.rounds)
+    print("case".ljust(10) + "".join(f"{s:>8}" for s in SIZES))
     for case, by in table.items():
-        print(case.ljust(10) + "".join(f"{by[s]:8.3f}" for s in args.sizes))
+        print(case.ljust(10) + "".join(f"{by[s]:8.3f}" for s in SIZES))
     return 0
 
 
