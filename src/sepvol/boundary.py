@@ -48,21 +48,10 @@ class AreaRow:
 
 
 def _det_eval(m: int):
-    # default evaluation hook: (points) -> (det of PT, SD weight); the points are
-    # decoded one param.SLICE of rows at a time, so one slice's rho and
-    # partial-transpose copy are alive, not the whole call's
+    # default evaluation hook: (points) -> (det of PT, SD weight), decoded through param.decode_map
     form = quantum.forms_for(m)[0]
-
-    def ev(pts: np.ndarray):
-        det, w = np.empty(len(pts)), np.empty(len(pts))
-        for s in range(0, len(pts), param.SLICE):
-            rows = slice(s, s + param.SLICE)
-            dec = param.decode_batch(pts[rows], m)
-            det[rows] = np.linalg.det(quantum.partial_transpose(dec.rho, form)).real
-            w[rows] = dec.w
-            del dec  # the next slice's decode need not sit beside this one's rho
-        return det, w
-    return ev
+    return lambda pts: param.decode_map(pts, m, lambda dec: (
+        np.linalg.det(quantum.partial_transpose(dec.rho, form)).real, dec.w))
 
 
 def _bisect(eval_fn, line: np.ndarray, lo: np.ndarray, hi: np.ndarray,

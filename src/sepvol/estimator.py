@@ -132,29 +132,17 @@ def _compute_block(task: tuple[RunConfig, int, int]) -> tuple:
     """Partial sums of one block: (n, degenerate, sums vector, count_sep).
 
     The block's points are drawn in one call, then decoded and taken through
-    each form's negativity one param.SLICE of rows at a time, so only one
-    slice's rho and partial-transpose copy are alive.  Decode and negativity
-    work row by row, so the per-row arrays are the bits a whole-block decode
-    gives; the sums are taken once over the whole block, as slice-wise partial
-    sums would round differently.
+    each form's negativity by param.decode_map.  The sums are taken once over
+    the whole block, as slice-wise partial sums would round differently.
     """
     cfg, start, count = task
     spec = qmc.ScrambleSpec(cfg.seed)
     pts = qmc.points(spec, cfg.m * cfg.m - 1, start, count)
-    w_D, w_H = np.empty(count), np.empty(count)
-    degenerate = np.empty(count, dtype=bool)
-    negs_all = [np.empty(count) for _ in cfg.forms]
-    for s in range(0, count, param.SLICE):
-        rows = slice(s, s + param.SLICE)
-        dec = param.decode_batch(pts[rows], cfg.m)
-        w_D[rows], w_H[rows], degenerate[rows] = dec.w_D, dec.w_H, dec.degenerate
-        for neg, f in zip(negs_all, cfg.forms):
-            neg[rows] = quantum.negativity(dec.rho, f)
-        del dec  # the next slice's decode need not sit beside this one's rho
+    w_D, w_H, w, degenerate, *negs = param.decode_map(pts, cfg.m, lambda dec: (
+        dec.w_D, dec.w_H, dec.w, dec.degenerate, *(quantum.negativity(dec.rho, f) for f in cfg.forms)))
     ok = ~degenerate
-    w_D, w_H = w_D[ok], w_H[ok]
-    w = w_D * w_H  # the bits of dec.w, which differs only on degenerate rows
-    negs = [neg[ok] for neg in negs_all]
+    w_D, w_H, w = w_D[ok], w_H[ok], w[ok]
+    negs = [neg[ok] for neg in negs]
     ppts = [neg == 0.0 for neg in negs]
     terms = ([w_D, w_H, w] + [w * ppt for ppt in ppts]
              + [w * neg for neg in negs] + [w * np.log1p(2.0 * neg) for neg in negs])
@@ -219,7 +207,8 @@ def run(cfg: RunConfig, checkpoint_path: str | None = None, on_row=None,
     """
     acc = SampleAccumulator(len(cfg.forms)) if resume is None else resume
     ranges = _block_ranges(acc.n, cfg.points, cfg.checkpoint_every)
-    head = list(itertools.islice(ranges, min(cfg.workers, os.cpu_count() or 1)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    head = list(itertools.islice(ranges, min(cfg.workers, cpus)))
     tasks = ((cfg, s, c) for s, c in itertools.chain(head, ranges))
     rows = []
     nproc = len(head)

@@ -167,6 +167,20 @@ def decode_batch(pts: np.ndarray, m: int) -> DecodedBatch:
     return out
 
 
+def decode_map(pts: np.ndarray, m: int, fn) -> tuple[np.ndarray, ...]:
+    """fn's per-row arrays over decode_batch(pts, m), joined in row order.
+
+    fn gets the decode of SLICE rows at a time and returns a tuple of per-row
+    arrays; each slice's decode is dropped before the next one is made, so one
+    slice's rho and whatever fn derives from it (a partial-transpose copy, an
+    eigensolve) are alive, not the whole batch's.  Decode and fn work row by
+    row, so the joined arrays hold the bits of fn on a whole-batch decode.  An
+    empty batch is one empty slice, so fn still gives each array's dtype.
+    """
+    parts = [fn(decode_batch(pts[s:s + SLICE], m)) for s in range(0, len(pts) or 1, SLICE)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
 def _decode_rows(pts: np.ndarray, m: int, out: DecodedBatch, rows: slice) -> None:
     # one slice of decode_batch: fills those rows of every field of out but w
     plan = _plan(m)

@@ -263,8 +263,9 @@ def test_worker_count_bit_identity():
     assert runs[1] == runs[2] == runs[8]
 
 
-def _spy_pool_sizes(monkeypatch, cpus):
-    """Patch the CPU count to `cpus`; the returned list collects every forked pool's size."""
+def _spy_pool_sizes(monkeypatch, cpus, machine=None):
+    """Give the process `cpus` CPUs of a `machine`-CPU host (default: all of them);
+    the returned list collects every forked pool's size."""
     sizes = []
     get_context = estimator.mp.get_context
 
@@ -276,7 +277,8 @@ def _spy_pool_sizes(monkeypatch, cpus):
             sizes.append(processes)
             return self.ctx.Pool(processes)
 
-    monkeypatch.setattr(estimator.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(estimator.os, "cpu_count", lambda: machine or cpus)
+    monkeypatch.setattr(estimator.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(estimator.mp, "get_context", _SpyContext)
     return sizes
 
@@ -286,6 +288,15 @@ def test_pool_capped_at_cpu_count(monkeypatch):
     sizes = _spy_pool_sizes(monkeypatch, 2)
     rows, acc = estimator.run(estimator.RunConfig(4, 4 * 4096, 4096, 0, workers=64))
     assert sizes == [2]
+    serial_rows, serial_acc = estimator.run(estimator.RunConfig(4, 4 * 4096, 4096, 0))
+    assert rows == serial_rows and acc.checkpoint() == serial_acc.checkpoint()
+
+
+def test_pool_capped_at_the_cpus_the_process_may_run_on(monkeypatch):
+    """On an 8-CPU host that lets the process run on one CPU, workers=4 forks no pool."""
+    sizes = _spy_pool_sizes(monkeypatch, 1, machine=8)
+    rows, acc = estimator.run(estimator.RunConfig(4, 4 * 4096, 4096, 0, workers=4))
+    assert sizes == []
     serial_rows, serial_acc = estimator.run(estimator.RunConfig(4, 4 * 4096, 4096, 0))
     assert rows == serial_rows and acc.checkpoint() == serial_acc.checkpoint()
 
