@@ -174,10 +174,9 @@ def decode_map(pts: np.ndarray, m: int, fn) -> tuple[np.ndarray, ...]:
     arrays; each slice's decode is dropped before the next one is made, so one
     slice's rho and whatever fn derives from it (a partial-transpose copy, an
     eigensolve) are alive, not the whole batch's.  Decode and fn work row by
-    row, so the joined arrays hold the bits of fn on a whole-batch decode.  An
-    empty batch is one empty slice, so fn still gives each array's dtype.
+    row, so the joined arrays hold the bits of fn on a whole-batch decode.
     """
-    parts = [fn(decode_batch(pts[s:s + SLICE], m)) for s in range(0, len(pts) or 1, SLICE)]
+    parts = [fn(decode_batch(pts[s:s + SLICE], m)) for s in range(0, len(pts), SLICE)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
