@@ -152,7 +152,8 @@ def decode_batch(pts: np.ndarray, m: int) -> DecodedBatch:
     """Decode unit-cube points (B, m^2-1) into weighted density matrices.
 
     The outputs are allocated once and filled SLICE rows at a time, so every
-    temporary is bounded by one slice whatever B is.
+    temporary is bounded by one slice whatever B is; joining the slices, as
+    decode_map does, would hold a second full rho.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != m * m - 1:

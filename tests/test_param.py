@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import decode_reference, decode_simplex_jacobian, eig_density_log, split_euler_coords
 
-from sepvol import boundary, estimator, exactform, param, qmc
+from sepvol import boundary, estimator, exactform, param, qmc, quantum
 
 
 def test_euler_layout():
@@ -275,9 +275,11 @@ def test_decode_batch_does_not_depend_on_batch_size(m):
 def test_outputs_do_not_depend_on_slice_size(m, monkeypatch):
     """decode_batch, an estimator block and the default boundary evaluator give the
     same bytes at param.SLICE = 256, 512 and 1024, so the slice is sized for time
-    and memory alone.  1025 rows end one row past a slice edge at each size.
+    and memory alone.  1025 rows end one row past a slice edge at each size; the
+    evaluator also gets a root-weight call's 2d + 1 rows.
     """
     pts = _edge_points(m, 1025)
+    probes = _edge_points(m, 2 * (m * m - 1) + 1)
     task = (estimator.RunConfig(m, 8192, 8192, seed=1), 5, 1025)
     ev = boundary._det_eval(m)
     seen = []
@@ -287,8 +289,50 @@ def test_outputs_do_not_depend_on_slice_size(m, monkeypatch):
         n, degenerate, sums, count_sep = estimator._compute_block(task)
         det, w = ev(pts)
         seen.append([getattr(dec, field).tobytes() for field in _DECODED_FIELDS]
-                    + [n, degenerate, sums.tobytes(), count_sep.tobytes(), det.tobytes(), w.tobytes()])
+                    + [n, degenerate, sums.tobytes(), count_sep.tobytes(), det.tobytes(), w.tobytes()]
+                    + [a.tobytes() for a in ev(probes)])
     assert seen[0] == seen[1] == seen[2]
+
+
+def _first_form_rows(m):
+    """A decode_map fn: the weight, partial-transpose det and negativity of each row's first form."""
+    form = quantum.forms_for(m)[0]
+    return lambda dec: (dec.w, np.linalg.det(quantum.partial_transpose(dec.rho, form)).real,
+                        quantum.negativity(dec.rho, form))
+
+
+@pytest.mark.parametrize("m", [6, 9])
+def test_decode_map_joins_the_bytes_of_a_whole_batch(m):
+    """decode_map's joined arrays are fn on one whole-batch decode_batch, byte for byte.
+
+    The batches are one row, a root-weight call (2d + 1 rows), one param.SLICE
+    and one slice and a row.
+    """
+    fn = _first_form_rows(m)
+    for n in (1, 2 * (m * m - 1) + 1, param.SLICE, param.SLICE + 1):
+        pts = _edge_points(m, n)
+        joined, whole = param.decode_map(pts, m, fn), fn(param.decode_batch(pts, m))
+        assert [(a.dtype, a.tobytes()) for a in joined] == [(a.dtype, a.tobytes()) for a in whole], n
+
+
+def test_decode_map_keeps_the_traced_decode_span(monkeypatch):
+    """decode_map calls the module's decode_batch, so a wrapper of it, like the
+    traced param.decode_batch span of perfbench, sees each slice: a 4096-point
+    estimator block and an 8,192-row boundary scan call decode one slice a call.
+    """
+    calls = []
+    decode_batch = param.decode_batch
+
+    def spy(pts, m):
+        calls.append(len(pts))
+        return decode_batch(pts, m)
+
+    monkeypatch.setattr(param, "decode_batch", spy)
+    estimator._compute_block((estimator.RunConfig(6, 4096, 4096, seed=0), 0, 4096))
+    assert calls == [param.SLICE] * (4096 // param.SLICE)
+    calls.clear()
+    boundary._det_eval(6)(_sample_points(6, 8192))
+    assert calls == [param.SLICE] * (8192 // param.SLICE)
 
 
 @pytest.mark.parametrize("m", [6, 9])
